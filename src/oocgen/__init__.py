@@ -5,9 +5,9 @@ from .field import (ExtensionField, FieldElement, FieldError,
                     field_for_prime_power, factor_prime_power,
                     gaussian_binomial)
 from .subspaces import (CosetFamily, CyclicSubspaceCode, Subspace,
-                        SubspaceError, SidonConstructionParams,
-                        build_coset_family, code_from_dict, code_min_distance,
-                        construct_g, construct_w, coset_representatives,
+                        SubspaceError, build_coset_family, code_from_dict,
+                        code_min_distance, construct_g, construct_w,
+                        coset_representatives, difference_counts,
                         dim_intersection, is_multi_sidon, is_sidon, orbit,
                         orbit_size, span, subspace_distance, subspace_to_dict,
                         validate_multi_orbit)

@@ -351,7 +351,8 @@ class ExtensionField:
         if not src.contains(x):
             raise FieldError(f"{x!r} is not in the subfield of order {from_order}")
         result = x ** ((from_order - 1) // (to_order - 1))
-        assert dst.contains(result)
+        if not dst.contains(result):
+            raise FieldError(f"norm of {x!r} is not in F_{to_order}")
         return result
 
     def is_irreducible_quadratic(self, b, c, sub_order):
@@ -396,6 +397,8 @@ def field_create(p, e, modulus=None, omega_code=None):
 
 
 def field_from_descriptor(desc):
+    if not isinstance(desc, dict) or not {"p", "e", "modulus"} <= desc.keys():
+        raise FieldError("field descriptor needs entries p, e and modulus")
     return field_create(desc["p"], desc["e"], desc["modulus"],
                         desc.get("omega_index"))
 
@@ -419,31 +422,8 @@ def field_for_prime_power(q, m):
 # subfield embeddings
 # ---------------------------------------------------------------------------
 
-def _matinv_mod(rows, p):
-    """Inverse of a square matrix over F_p (Gauss-Jordan)."""
-    n = len(rows)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            raise FieldError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class SubfieldEmbedding:
-    """The subfield of order p^d inside F_{p^e}, with a coordinate map.
-
-    Coordinates are taken with respect to the power basis {1, omega, ...,
-    omega^(m-1)} of the big field over the subfield, where m = e/d.
-    """
+    """The subfield of order p^d inside F_{p^e}: the powers of omega^stride."""
 
     def __init__(self, field, order):
         p, e = field.p, field.e
@@ -458,10 +438,8 @@ class SubfieldEmbedding:
         self.field = field
         self.order = order
         self.degree = d                  # over the prime field
-        self.relative_degree = e // d    # of the big field over this subfield
         self.stride = field.N // (order - 1)
         self.generator = field.from_idx(self.stride % field.N)
-        self._coord_rows = None
 
     def contains(self, x):
         self.field._check_same(x)
@@ -475,39 +453,6 @@ class SubfieldEmbedding:
 
     def nonzero_elements(self):
         return self.elements()[1:]
-
-    def _init_coords(self):
-        f = self.field
-        d, m = self.degree, self.relative_degree
-        cols = []
-        for j in range(m):
-            wj = f.omega ** j if f.N > 1 else f.one()
-            for l in range(d):
-                el = wj * self.generator ** l
-                cols.append(f._digits[el.code])
-        rows = [[cols[c][r] for c in range(f.e)] for r in range(f.e)]
-        self._coord_rows = _matinv_mod(rows, f.p)
-        self._gen_powers = [self.generator ** l for l in range(d)]
-
-    def coords(self, x):
-        """Coordinates of x over this subfield (length e/d tuple)."""
-        self.field._check_same(x)
-        if self._coord_rows is None:
-            self._init_coords()
-        f = self.field
-        p, d, m = f.p, self.degree, self.relative_degree
-        vec = f._digits[x.code]
-        b = [sum(r * v for r, v in zip(row, vec)) % p
-             for row in self._coord_rows]
-        out = []
-        for j in range(m):
-            c = f.zero()
-            for l in range(d):
-                scalar = b[j * d + l]
-                if scalar:
-                    c = c + f.from_code(scalar) * self._gen_powers[l]
-            out.append(c)
-        return tuple(out)
 
     def __repr__(self):
         return f"SubfieldEmbedding(order={self.order} in {self.field!r})"
@@ -524,5 +469,6 @@ def gaussian_binomial(m, k, q):
     num = Fraction(1)
     for i in range(k):
         num *= Fraction(q ** (m - i) - 1, q ** (k - i) - 1)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise FieldError(f"Gaussian binomial [{m} {k}]_{q} is not an integer")
     return num.numerator

@@ -1,8 +1,8 @@
 """Optical orthogonal codes: index sets, correlation checks and bounds.
 
 The translation layer maps field subsets to subsets of Z_N through discrete
-logs and binary words to their supports.  Correlation maxima are computed on
-sorted index sets (set intersection per shift), exactly.  The field-side
+logs and binary words to their supports.  Correlation maxima are read off
+one cyclic difference count per pair of index sets, exactly.  The field-side
 conditions are checked through code-level polynomial multiplication, fully
 independent of the exp/log tables, so the two verdicts cross-validate each
 other.
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .subspaces import build_coset_family, code_min_distance
+from .subspaces import build_coset_family, code_min_distance, difference_counts
 
 
 class OocError(ValueError):
@@ -41,7 +41,11 @@ class IndexSet:
     members: frozenset
 
     def __post_init__(self):
-        if any(not 0 <= a < self.n for a in self.members):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise OocError(f"modulus must be a positive integer, "
+                           f"got {self.n!r}")
+        if any(not isinstance(a, int) or not 0 <= a < self.n
+               for a in self.members):
             raise OocError("index set member out of range")
 
     def sorted(self):
@@ -88,32 +92,23 @@ def shift(X, tau):
 
 def autocorr_max(X):
     """Max of |X ∩ (X + tau)| over 0 < tau < n, with the smallest such tau."""
-    best, best_tau = -1, None
-    members = X.members
-    n = X.n
-    for tau in range(1, n):
-        v = len(members & frozenset((a + tau) % n for a in members))
-        if v > best:
-            best, best_tau = v, tau
-    if best_tau is None:  # n == 1: no admissible tau
+    if X.n == 1:  # no admissible tau
         return 0, None
-    return best, best_tau
+    c = difference_counts(X.members, X.members, X.n)[1:]
+    best = max(c)
+    return best, c.index(best) + 1
 
 
 def crosscorr_max(X, Y):
-    """Max of |X ∩ (Y + tau)| over 0 <= tau < n; tau = 0 is included."""
+    """Max of |X ∩ (Y + tau)| over 0 <= tau < n, with the smallest such tau.
+
+    tau = 0 is included, so equal sets of size w give (w, 0).
+    """
     if X.n != Y.n:
         raise OocError("index sets have different moduli")
-    if X.members == Y.members:
-        raise OocError("crosscorrelation of a set with itself is "
-                       "autocorrelation")
-    best, best_tau = -1, None
-    n = X.n
-    for tau in range(n):
-        v = len(X.members & frozenset((a + tau) % n for a in Y.members))
-        if v > best:
-            best, best_tau = v, tau
-    return best, best_tau
+    c = difference_counts(X.members, Y.members, X.n)
+    best = max(c)
+    return best, c.index(best)
 
 
 @dataclass
@@ -275,7 +270,8 @@ def build_ooc(code):
     sets = [s_of_w(fld, coset) for coset in family.cosets]
     r = len(code.representatives)
     size = r * family.t
-    assert len(sets) == size
+    if len(sets) != size:
+        raise OocError(f"coset family has {len(sets)} sets, expected {size}")
     report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)

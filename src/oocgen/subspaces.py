@@ -1,9 +1,10 @@
 """F_q-linear subspaces of F_{q^m} and cyclic subspace codes.
 
 Subspaces carry their full span as a frozenset of log indices (-1 for zero),
-which makes scaling by a nonzero field element a cheap index shift and makes
-orbit and intersection sweeps exact set operations.  Rank computations go
-through F_q-coordinate vectors supplied by the field's subfield embeddings.
+which makes scaling by a nonzero field element a cheap index shift.  Every
+sweep over scalings alpha = omega^a asks for |U ∩ alpha V| at each a, and
+all of them are answered by one cyclic difference count on the nonzero
+indices: |U ∩ alpha V| = 1 + #{(u, v) : u - v = a (mod N)}.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import (ExtensionField, FieldElement, factor_prime_power,
-                    field_from_descriptor, field_for_prime_power)
+from .field import (ExtensionField, factor_prime_power, field_from_descriptor,
+                    field_for_prime_power)
 
 
 class SubspaceError(ValueError):
@@ -26,8 +27,27 @@ def _shift_span(span_idx, a, N):
 
 def _log_exact(size, q):
     d = round(math.log(size, q))
-    assert q ** d == size, f"set of size {size} is not F_{q}-subspace sized"
+    if q ** d != size:
+        raise SubspaceError(f"set of size {size} is not F_{q}-subspace sized")
     return d
+
+
+def difference_counts(X, Y, n):
+    """c with c[tau] = |X ∩ (Y + tau)| for every tau in Z_n.
+
+    Counts x - y (mod n) over all pairs (x, y) in X x Y; members must lie
+    in range(n), so a negative difference indexes c from the end, which is
+    the reduction mod n.
+    """
+    c = [0] * n
+    for y in Y:
+        for x in X:
+            c[x - y] += 1
+    return c
+
+
+def _nonzero(U):
+    return [i for i in U.span_idx if i >= 0]
 
 
 class Subspace:
@@ -41,7 +61,10 @@ class Subspace:
         self.basis = tuple(basis)
         self.span_idx = frozenset(span_idx)
         self.dim = len(self.basis)
-        assert len(self.span_idx) == ground_q ** self.dim
+        if len(self.span_idx) != ground_q ** self.dim:
+            raise SubspaceError(f"span of size {len(self.span_idx)} does "
+                                f"not match dimension {self.dim} over "
+                                f"F_{ground_q}")
 
     def contains(self, x):
         return x.idx in self.span_idx
@@ -99,34 +122,10 @@ def _check_compatible(U, V):
         raise SubspaceError("subspaces live in different ambient fields")
 
 
-def _rank(vectors, field):
-    """Rank of a list of coordinate vectors (entries are field elements)."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows))
-                      if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        for r in range(rank + 1, len(rows)):
-            if not rows[r][col].is_zero():
-                f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def dim_intersection(U, V):
-    """dim_{F_q}(U intersect V), by rank arithmetic on coordinate vectors."""
+    """dim_{F_q}(U intersect V) = log_q |U ∩ V| on the cached spans."""
     _check_compatible(U, V)
-    emb = U.field.subfield(U.ground_q)
-    coords = [emb.coords(b) for b in U.basis] + [emb.coords(b) for b in V.basis]
-    return U.dim + V.dim - _rank(coords, U.field)
+    return _log_exact(len(U.span_idx & V.span_idx), U.ground_q)
 
 
 def subspace_distance(U, V):
@@ -148,12 +147,11 @@ def is_sidon(U):
     """
     f, q, N = U.field, U.ground_q, U.field.N
     units = _ground_unit_indices(f, q)
-    for a in range(1, N):
-        if a in units:
-            continue
-        if len(U.span_idx & _shift_span(U.span_idx, a, N)) > q:
-            return False, f.from_idx(a)
-    return True, None
+    S = _nonzero(U)
+    c = difference_counts(S, S, N)
+    # dim(U ∩ alpha U) >= 2  <=>  |U ∩ alpha U| = 1 + c[a] > q
+    a = next((a for a in range(1, N) if c[a] >= q and a not in units), None)
+    return (True, None) if a is None else (False, f.from_idx(a))
 
 
 def is_multi_sidon(spaces):
@@ -177,31 +175,27 @@ def is_multi_sidon(spaces):
             return False, (i, i, alpha)
     for i in range(len(spaces)):
         for j in range(i + 1, len(spaces)):
-            Si, Sj = spaces[i].span_idx, spaces[j].span_idx
-            for a in range(N):
-                if len(Si & _shift_span(Sj, a, N)) > q:
-                    return False, (i, j, f.from_idx(a))
+            c = difference_counts(_nonzero(spaces[i]), _nonzero(spaces[j]), N)
+            a = next((a for a, v in enumerate(c) if v >= q), None)
+            if a is not None:
+                return False, (i, j, f.from_idx(a))
     return True, None
 
 
 def orbit_size(U):
-    N = U.field.N
-    stabilizer = sum(1 for a in range(N)
-                     if _shift_span(U.span_idx, a, N) == U.span_idx)
-    return N // stabilizer
+    """N / |stabiliser|, the stabiliser being the a with omega^a U = U."""
+    S = _nonzero(U)
+    stabilizer = difference_counts(S, S, U.field.N).count(len(S))
+    return U.field.N // stabilizer
 
 
 def orbit(U):
-    """Distinct subspaces alpha*U, in ascending order of the scaling index."""
-    f, N = U.field, U.field.N
-    seen = set()
-    out = []
-    for a in range(N):
-        shifted = _shift_span(U.span_idx, a, N)
-        if shifted not in seen:
-            seen.add(shifted)
-            out.append(U.scale(f.from_idx(a)))
-    return out
+    """Distinct subspaces alpha*U, in ascending order of the scaling index.
+
+    The stabiliser is a subgroup of Z_N, so omega^a U for a < orbit_size(U)
+    are exactly the distinct scalings.
+    """
+    return [U.scale(U.field.from_idx(a)) for a in range(orbit_size(U))]
 
 
 @dataclass
@@ -233,12 +227,12 @@ class CyclicSubspaceCode:
 
     def orbits_disjoint(self):
         N = self.field.N
-        reps = self.representatives
+        reps = [_nonzero(U) for U in self.representatives]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                Si = reps[i].span_idx
-                Sj = reps[j].span_idx
-                if any(_shift_span(Sj, a, N) == Si for a in range(N)):
+                Si, Sj = reps[i], reps[j]
+                if (len(Si) == len(Sj)
+                        and len(Si) in difference_counts(Si, Sj, N)):
                     return False
         return True
 
@@ -253,14 +247,30 @@ def subspace_to_dict(U):
     return {"ground_q": U.ground_q, "basis": [b.idx for b in U.basis]}
 
 
+def _entry(d, key, what):
+    if not isinstance(d, dict) or key not in d:
+        raise SubspaceError(f"{what} has no {key!r} entry")
+    return d[key]
+
+
 def subspace_from_dict(d, fld):
-    basis = [fld.from_idx(i) for i in d["basis"]]
-    return span(fld, basis, d["ground_q"])
+    q = _entry(d, "ground_q", "orbit")
+    basis = _entry(d, "basis", "orbit")
+    if type(q) is not int:
+        raise SubspaceError(f"ground_q must be an integer, got {q!r}")
+    if not isinstance(basis, list) or not all(
+            type(i) is int and -1 <= i < fld.N for i in basis):
+        raise SubspaceError(f"basis entries must be log indices in "
+                            f"-1..{fld.N - 1}, got {basis!r}")
+    return span(fld, [fld.from_idx(i) for i in basis], q)
 
 
 def code_from_dict(d):
-    fld = field_from_descriptor(d["field"])
-    reps = [subspace_from_dict(s, fld) for s in d["orbits"]]
+    fld = field_from_descriptor(_entry(d, "field", "code file"))
+    orbits = _entry(d, "orbits", "code file")
+    if not isinstance(orbits, list):
+        raise SubspaceError("code file: 'orbits' must be a list")
+    reps = [subspace_from_dict(s, fld) for s in orbits]
     if not reps:
         raise SubspaceError("code file contains no orbits")
     return CyclicSubspaceCode(fld, reps[0].ground_q, reps)
@@ -280,13 +290,12 @@ def code_min_distance(code):
     best = None
     for i in range(len(reps)):
         for j in range(i, len(reps)):
-            Si, Sj = reps[i].span_idx, reps[j].span_idx
-            di, dj = reps[i].dim, reps[j].dim
-            for a in range(N):
-                T = _shift_span(Sj, a, N)
-                if i == j and T == Si:
-                    continue
-                d = di + dj - 2 * _log_exact(len(Si & T), q)
+            Si, Sj = _nonzero(reps[i]), _nonzero(reps[j])
+            counts = set(difference_counts(Si, Sj, N))
+            if i == j:  # alpha U_i = U_i is the same codeword
+                counts.discard(len(Si))
+            for v in counts:  # |U_i ∩ alpha U_j| = 1 + v
+                d = reps[i].dim + reps[j].dim - 2 * _log_exact(1 + v, q)
                 if best is None or d < best:
                     best = d
     return best
@@ -295,29 +304,6 @@ def code_min_distance(code):
 # ---------------------------------------------------------------------------
 # explicit constructions via linearized monomials
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SidonConstructionParams:
-    """Parameters for the x -> x + xi * mu * x^(q^s) subspace construction."""
-
-    q: int
-    k: int
-    s: int
-    mu_list: tuple
-    xi: FieldElement
-    b: FieldElement | None = None
-    w: FieldElement | None = None
-
-    def validate(self):
-        if math.gcd(self.s, self.k) != 1:
-            raise SubspaceError(f"gcd(s, k) must be 1, got s={self.s}, "
-                                f"k={self.k}")
-        if len(self.mu_list) > self.q - 1:
-            raise SubspaceError("at most q - 1 orbit representatives allowed")
-        fld = self.xi.field
-        if fld.subfield(self.q ** self.k).contains(self.xi):
-            raise SubspaceError("xi must lie outside F_{q^k}")
-
 
 def construct_w(fld, q, k, s, mu, xi):
     """The subspace {x + xi * mu * x^(q^s) : x in F_{q^k}}.
@@ -389,7 +375,8 @@ def construct_g(q, k, s):
     emb = fld.subfield(qk)
     w = emb.generator
     # primitive w is never a (q-1)-power for q > 2
-    assert not (w ** ((qk - 1) // (q - 1))) == fld.one()
+    if w ** ((qk - 1) // (q - 1)) == fld.one():
+        raise SubspaceError("w is a (q-1)-power")  # cannot happen
 
     b = next((cand for cand in emb.elements()
               if fld.is_irreducible_quadratic(cand, w, qk)), None)
@@ -440,7 +427,9 @@ def coset_representatives(U):
         reps.append(d)
         if len(reps) == t:
             break
-    assert len(reps) == t, f"expected {t} coset representatives, got {len(reps)}"
+    if len(reps) != t:
+        raise SubspaceError(f"expected {t} coset representatives, "
+                            f"got {len(reps)}")
     return reps
 
 
@@ -470,6 +459,7 @@ def build_coset_family(code):
             entries.append((i, d))
             coset = tuple(sorted((u + d for u in U.members()),
                                  key=lambda x: x.idx))
-            assert all(not x.is_zero() for x in coset)
+            if any(x.is_zero() for x in coset):
+                raise SubspaceError("a coset representative lies in U")
             cosets.append(coset)
     return CosetFamily(code, tuple(entries), tuple(cosets), t)

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import functools
 import itertools
 
 import pytest
@@ -29,14 +30,84 @@ def bit_level_ooc_ok(words, lam):
     return True
 
 
-def set_dim_intersection(U, V):
-    """Oracle for dim(U ∩ V): exhaustive span intersection, log base q."""
-    inter = len(U.span_idx & V.span_idx)
-    d = 0
-    while U.ground_q ** d < inter:
-        d += 1
-    assert U.ground_q ** d == inter
-    return d
+def _matinv_mod(rows, p):
+    """Inverse of a square matrix over F_p (Gauss-Jordan)."""
+    n = len(rows)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [(v * inv) % p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@functools.cache
+def _coord_map(emb):
+    """Prime-field coordinate matrix and generator powers of a subfield."""
+    f = emb.field
+    d, m = emb.degree, f.e // emb.degree
+    cols = []
+    for j in range(m):
+        wj = f.omega ** j if f.N > 1 else f.one()
+        for l in range(d):
+            el = wj * emb.generator ** l
+            cols.append(f._digits[el.code])
+    rows = [[cols[c][r] for c in range(f.e)] for r in range(f.e)]
+    return _matinv_mod(rows, f.p), [emb.generator ** l for l in range(d)]
+
+
+def subfield_coords(emb, x):
+    """Coordinates of x over the subfield emb, in the power basis
+    {1, omega, ..., omega^(m-1)} of the big field (length m = e/d)."""
+    f = emb.field
+    coord_rows, gen_powers = _coord_map(emb)
+    d, m = emb.degree, f.e // emb.degree
+    vec = f._digits[x.code]
+    b = [sum(r * v for r, v in zip(row, vec)) % f.p for row in coord_rows]
+    out = []
+    for j in range(m):
+        c = f.zero()
+        for l in range(d):
+            if b[j * d + l]:
+                c = c + f.from_code(b[j * d + l]) * gen_powers[l]
+        out.append(c)
+    return tuple(out)
+
+
+def _rank(vectors):
+    """Rank of a list of coordinate vectors (entries are field elements)."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows))
+                      if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][col].is_zero():
+                f = rows[r][col] * inv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_dim_intersection(U, V):
+    """Oracle for dim(U ∩ V): rank of the stacked bases' F_q-coordinates."""
+    emb = U.field.subfield(U.ground_q)
+    vectors = [subfield_coords(emb, b) for b in U.basis + V.basis]
+    return U.dim + V.dim - _rank(vectors)
 
 
 def canonical_sidon_f64():

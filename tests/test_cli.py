@@ -78,6 +78,18 @@ def test_verify_oos_without_lambda_is_usage_error(q3_run):
     assert main(["verify", str(q3_run) + ".oos.json"]) == 2
 
 
+def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
+    # {0, 1, 3} is a (7, 3, 1) difference set, so only the repeat breaks
+    # lambda = 1: its cross-correlation at tau = 0 is the weight
+    path = tmp_path / "dup.ooc"
+    path.write_text("# n=7 w=3 lambda=1 size=2\n1101000\n1101000\n")
+    assert main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_auto"] == 1 and not report["pass"]
+    assert report["witnesses"][1] == {"kind": "cross", "words": [0, 1],
+                                      "tau": 0, "value": 3}
+
+
 def test_construct_q2_is_usage_error(capsys):
     assert main(["construct", "--q", "2", "--k", "2", "--s", "1"]) == 2
     assert "q >= 3" in capsys.readouterr().err
@@ -99,6 +111,35 @@ def test_construct_from_code_file(tmp_path, capsys):
     assert rc == 0
     assert "(63,8,2) size=7" in captured.out
     assert main(["verify", str(out) + ".ooc"]) == 0
+
+
+def _sidon_code_dict():
+    U = canonical_sidon_f64()
+    return CyclicSubspaceCode(U.field, 2, (U,)).to_dict()
+
+
+@pytest.mark.parametrize("key", ["field", "orbits", "ground_q", "basis"])
+def test_construct_code_file_missing_key_is_data_error(tmp_path, capsys, key):
+    code = _sidon_code_dict()
+    if key in code:
+        del code[key]
+    else:
+        del code["orbits"][0][key]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["construct", "--code", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_construct_code_file_index_out_of_range_is_data_error(tmp_path):
+    code = _sidon_code_dict()
+    code["orbits"][0]["basis"][0] = 999  # F_64 has log indices -1..62
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    out = tmp_path / "out"
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 2
+    assert not (tmp_path / "out.ooc").exists()
 
 
 def test_bound_command(capsys):

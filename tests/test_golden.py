@@ -1,0 +1,57 @@
+"""Golden hashes: `oocgen construct --s 1` output is byte-identical.
+
+The sha256 of each of the four artefacts was recorded from the original
+shift-and-intersect implementation; any refactor of the sweeps must
+reproduce them exactly.
+"""
+
+import hashlib
+
+import pytest
+
+from oocgen.cli import main
+
+ARTEFACTS = ("ooc", "oos.json", "code.json", "report.json")
+
+GOLDEN = {
+    (3, 2): [
+        "6cd5a4602b0eef1e1c10c9c05c1f8412aea54d5a7f158d185be159e96c7f73cb",
+        "3be25786cdef09f10faee39c7fb5d5a919e69b37b91ac0ee2efe5cb22bb7f8cb",
+        "a9941a6c946ad83bf71a33f12d541c31b594219cba763acae782ee67b9dc849f",
+        "e21718dc1b94855a3b539a8579d472ab5d95aaf95290b81b6ba0ec0bc2fc467d",
+    ],
+    (5, 2): [
+        "fbc89626cdb62e98a4d0d9098a684b3416a7e0582706917b4375160fe45243e5",
+        "bc249a0dafd7ee314da9cb4f135a29593ec8900a6b9fe504f1673546541a8518",
+        "0432fdde956a33d82f0d48996493bd85817978e4bbe0bab791915a9feef60d1c",
+        "fb4617e960f64e8bf35bea256617b171a9e8ffe11aeb9719dd5748f572c25f9e",
+    ],
+    (7, 2): [
+        "397ed1007d9777d1988d7ec4d6ea852a63c12dc3f1bf5d6efd6c876e5235cfe1",
+        "da1079e4ddbc02e26a4f7d29f68f0dc4ac625426422cd0863f9c311f729a3c00",
+        "fd7c051ab4fdbb9ebd2fe547443c0dfa45997df7f8a0468fce9b1d381728b26e",
+        "12d6597afef103d0c9f05c9ef7f179d957f3cd40a6763320c5914eae72bf99f7",
+    ],
+    (3, 3): [
+        "05e036704dfa53259f74ff3aec384507d45359c999d3c6b3226a9676cc370bfc",
+        "4a76343fc96242aa72ecbcbbaf67f260bb757953ec8d029a3af540f8e0c53406",
+        "7092ffc2cfcdab626427a260555b050902f0a2169d5c87dfeb7e3651c8ecbf30",
+        "bc842d0db86a4aa94e1b5c994ea634ec354838cdb4a380bdb3f3ff43bfb94bf5",
+    ],
+    (9, 2): [
+        "c3cce8f11beeb745ce9eeae56ba909b28e5f098eca4f11941cec360fd4d8cf9c",
+        "0e8733109c608984f6242879841ab3d442d26fa99d9157382d59e585eaba92cc",
+        "196cf806fa6dc0ba1bb26a81bd26230a472760377b83d05b7347b473010f8621",
+        "12dcce2958ed895f504845b0d4f3846d71381a59795ca6b38e543b5fa7ea5442",
+    ],
+}
+
+
+@pytest.mark.parametrize("q,k", list(GOLDEN), ids=lambda v: str(v))
+def test_construct_artefacts_match_golden_hashes(tmp_path, q, k):
+    out = tmp_path / "out"
+    assert main(["construct", "--q", str(q), "--k", str(k), "--s", "1",
+                 "--out", str(out)]) == 0
+    hashes = [hashlib.sha256((tmp_path / f"out.{e}").read_bytes()).hexdigest()
+              for e in ARTEFACTS]
+    assert hashes == GOLDEN[(q, k)]

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oocgen import (Codeword, IndexSet, OocError, autocorr_max, build_ooc,
-                    check_field_conditions, crosscorr_max, field_create,
-                    johnson_bound, optimality_ratio, params_table, s_of_w,
-                    shift, support, unsupport, verify_oos)
+                    check_field_conditions, crosscorr_max, difference_counts,
+                    field_create, johnson_bound, optimality_ratio,
+                    params_table, s_of_w, shift, support, unsupport,
+                    verify_oos)
 from conftest import bit_corr, bit_level_ooc_ok
 
 
@@ -32,6 +33,12 @@ def test_support_unsupport_roundtrip():
         bits = tuple(rng.randint(0, 1) for _ in range(12))
         x = Codeword(12, bits)
         assert unsupport(support(x), 12) == x
+
+
+@pytest.mark.parametrize("n,members", [(0, set()), (5, {1.5}), (5, {-1})])
+def test_index_set_rejects_bad_modulus_or_member(n, members):
+    with pytest.raises(OocError):
+        IndexSet(n, frozenset(members))
 
 
 def test_unsupport_rejects_out_of_range():
@@ -107,10 +114,36 @@ def test_crosscorr_symmetric():
         assert crosscorr_max(X, Y)[0] == crosscorr_max(Y, X)[0]
 
 
-def test_crosscorr_rejects_equal_sets():
+def test_crosscorr_of_equal_sets_is_weight_at_zero():
     X = IndexSet(5, frozenset({1, 2}))
-    with pytest.raises(OocError):
-        crosscorr_max(X, IndexSet(5, frozenset({1, 2})))
+    assert crosscorr_max(X, IndexSet(5, frozenset({1, 2}))) == (2, 0)
+
+
+@st.composite
+def _set_pair(draw):
+    n = draw(st.integers(1, 24))
+    members = st.frozensets(st.integers(0, n - 1))
+    return IndexSet(n, draw(members)), IndexSet(n, draw(members))
+
+
+@given(_set_pair())
+def test_difference_counts_match_bit_oracle(pair):
+    X, Y = pair
+    n = X.n
+    xb, yb = unsupport(X, n).bits, unsupport(Y, n).bits
+    # sum_t y_t x_{t+tau} = #{t in Y : t + tau in X} = |X ∩ (Y + tau)|
+    cross = [bit_corr(yb, xb, tau) for tau in range(n)]
+    assert difference_counts(X.members, Y.members, n) == cross
+    best = max(cross)
+    assert crosscorr_max(X, Y) == (best, min(t for t in range(n)
+                                            if cross[t] == best))
+    auto = {tau: bit_corr(xb, xb, tau) for tau in range(1, n)}
+    if auto:
+        best = max(auto.values())
+        assert autocorr_max(X) == (best, min(t for t in auto
+                                             if auto[t] == best))
+    else:
+        assert autocorr_max(X) == (0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     coset_representatives, dim_intersection, field_create,
                     gaussian_binomial, is_multi_sidon, is_sidon, orbit,
                     orbit_size, span, subspace_distance, validate_multi_orbit)
-from conftest import set_dim_intersection
+from oocgen.subspaces import _log_exact
+from conftest import rank_dim_intersection
 
 
 F81 = field_create(3, 4)
@@ -67,15 +68,21 @@ def test_dim_intersection_subfield_vs_scaled():
     emb = F81.subfield(9)
     U = span(F81, emb.elements(), 3)
     V = U.scale(F81.omega)
-    assert dim_intersection(U, V) == set_dim_intersection(U, V)
+    assert dim_intersection(U, V) == rank_dim_intersection(U, V)
 
 
-def test_dim_intersection_random_vs_set_oracle():
+def test_dim_intersection_random_vs_rank_oracle():
     rng = random.Random(3)
     for _ in range(40):
         U = _subspace(F81, rng.sample(range(80), 2), 3)
         V = _subspace(F81, rng.sample(range(80), 2), 3)
-        assert dim_intersection(U, V) == set_dim_intersection(U, V)
+        assert dim_intersection(U, V) == rank_dim_intersection(U, V)
+
+
+def test_log_exact_rejects_non_power():
+    assert _log_exact(27, 3) == 3
+    with pytest.raises(SubspaceError):
+        _log_exact(10, 3)
 
 
 def _random_dim2(rng):
@@ -217,9 +224,10 @@ def test_code_min_distance_vs_full_pair_sweep():
     f16 = field_create(2, 4)
     U = span(f16, f16.subfield(4).elements(), 2)
     code = CyclicSubspaceCode(f16, 2, (U,))
-    orb = orbit(U)
+    orb = {U.scale(f16.from_idx(a)) for a in range(f16.N)}
+    assert len(orb) == len(orbit(U)) == orbit_size(U)
     oracle = min(
-        V1.dim + V2.dim - 2 * set_dim_intersection(V1, V2)
+        V1.dim + V2.dim - 2 * rank_dim_intersection(V1, V2)
         for V1, V2 in itertools.combinations(orb, 2))
     assert code_min_distance(code) == oracle == 4
 
@@ -296,24 +304,14 @@ def test_construct_w_valid_is_sidon():
     pytest.fail("no Sidon space produced")
 
 
-def test_sidon_construction_params_validate():
-    from oocgen import SidonConstructionParams
-    emb = F81.subfield(9)
-    xi = next(x for x in F81.iter_elements()
-              if not x.is_zero() and not emb.contains(x))
-    SidonConstructionParams(3, 2, 1, (F81.one(),), xi).validate()
-    with pytest.raises(SubspaceError):
-        SidonConstructionParams(3, 2, 2, (F81.one(),), xi).validate()
-    with pytest.raises(SubspaceError):
-        SidonConstructionParams(3, 2, 1, (F81.one(),), emb.generator).validate()
-
-
 def test_validate_multi_orbit_r1_vacuous():
     emb = F81.subfield(9)
     xi = next(x for x in F81.iter_elements()
               if not x.is_zero() and not emb.contains(x))
     ok, report = validate_multi_orbit(F81, 3, 2, [F81.one()], xi)
     assert ok and report == []
+    with pytest.raises(SubspaceError):  # xi must lie outside F_{q^k}
+        validate_multi_orbit(F81, 3, 2, [F81.one()], emb.generator)
 
 
 def test_validate_multi_orbit_valid_pair():
@@ -404,6 +402,14 @@ def test_coset_family_q3(pipeline_q3):
     # distinct cosets of the same subspace are disjoint
     for c1, c2 in itertools.combinations(fam.cosets, 2):
         assert not set(c1) & set(c2)
+
+
+def test_scaled_pair_orbits_are_not_disjoint():
+    U = _subspace(F81, [0, 1], 3)
+    code = CyclicSubspaceCode(F81, 3, (U, U.scale(F81.from_idx(5))))
+    assert not code.orbits_disjoint()
+    with pytest.raises(SubspaceError):
+        build_coset_family(code)
 
 
 def test_coset_family_q5_count(pipeline_q5):
