@@ -3,9 +3,13 @@
 Elements are stored by their discrete-log index with respect to a fixed
 primitive element omega: index -1 encodes zero, index i >= 0 encodes omega^i.
 Full exp/log tables are built at construction, so multiplication, inversion
-and discrete logs are table lookups.  Addition goes through the coefficient
-("code") representation: an element sum(c_i x^i) mod modulus is encoded as
-the integer sum(c_i p^i).
+and discrete logs are index arithmetic.  Addition stays in the log domain
+too: a Zech table holds zech[i] = log(1 + omega^i) (-1 when that sum is
+zero), so omega^a + omega^b = omega^(a + zech[b - a]) is one lookup, and
+negation adds N/2 to the index for odd p.  Polynomial arithmetic on the
+coefficient ("code") representation, sum(c_i x^i) mod modulus encoded as
+the integer sum(c_i p^i), is used only to build the tables, to test
+primitivity and by the independent polynomial-route checker.
 
 All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
@@ -17,11 +21,27 @@ import itertools
 import json
 from fractions import Fraction
 
-from sympy import factorint, isprime
-
 
 class FieldError(ValueError):
     """Invalid field parameters or out-of-domain arguments."""
+
+
+def _prime_factors(n):
+    """Prime factorisation {prime: exponent} of n by trial division.
+
+    Empty for n < 2.  The integers factored here (p, q and N = p^e - 1 of a
+    field whose tables fit in memory) are small enough for trial division.
+    """
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +119,19 @@ class FieldElement:
     def __add__(self, other):
         f = self.field
         f._check_same(other)
-        return f.from_code(f.add_codes(self.code, other.code))
+        a, b = self.idx, other.idx
+        if a < 0:
+            return other
+        if b < 0:
+            return self
+        z = f.zech[(b - a) % f.N]
+        return FieldElement(f, -1 if z < 0 else (a + z) % f.N)
 
     def __neg__(self):
         f = self.field
-        return f.from_code(f.neg_code(self.code))
+        if self.idx < 0 or f.p == 2:
+            return self
+        return FieldElement(f, (self.idx + f.N // 2) % f.N)
 
     def __sub__(self, other):
         return self + (-other)
@@ -157,7 +185,7 @@ class ExtensionField:
     """F_{p^e} with exp/log tables for a canonical primitive element."""
 
     def __init__(self, p, e, modulus=None, omega_code=None):
-        if not isprime(p):
+        if type(p) is not int or _prime_factors(p) != {p: 1}:
             raise FieldError(f"p = {p} is not prime")
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
@@ -178,7 +206,6 @@ class ExtensionField:
                     f"modulus is reducible; nontrivial factor {factor}")
         self.modulus = tuple(modulus)
 
-        self._digits = [self._compute_digits(c) for c in range(self.order)]
         self._init_reduction_table()
 
         if omega_code is None:
@@ -187,16 +214,24 @@ class ExtensionField:
             raise FieldError(f"omega code {omega_code} is not primitive")
         self.omega_code = omega_code
 
-        # exp/log tables; for F_2 (N = 1) omega is 1 and exp = [1]
-        self.exp = [0] * max(self.N, 1)
-        self.log = {}
-        c = 1
-        for i in range(max(self.N, 1)):
+        # exp/log tables, stepping the digit vector of omega^i; for F_2
+        # (N = 1) omega is 1 and exp = [1].  log[0] = -1 encodes zero.
+        n = max(self.N, 1)
+        self.exp = [0] * n
+        self.log = [-1] * self.order
+        d_omega = self._compute_digits(omega_code)
+        d = self._compute_digits(1)
+        for i in range(n):
+            c = self._encode(d)
             self.exp[i] = c
             self.log[c] = i
-            c = self.mul_codes(c, self.omega_code)
-        if len(self.log) != max(self.N, 1):
+            d = self._mul_digits(d, d_omega)
+        if self.log.count(-1) != 1:
             raise FieldError("exp table is not a bijection")  # unreachable
+
+        # zech[i] = log(1 + omega^i): adding 1 steps the constant digit mod p
+        self.zech = [self.log[c + 1 if c % p != p - 1 else c - (p - 1)]
+                     for c in self.exp]
 
         self._subfields = {}
 
@@ -208,6 +243,12 @@ class ExtensionField:
             code, r = divmod(code, self.p)
             out.append(r)
         return tuple(out)
+
+    def _encode(self, digits):
+        code = 0
+        for c in reversed(digits):
+            code = code * self.p + c
+        return code
 
     def _init_reduction_table(self):
         # digit vectors of x^(e+t) mod modulus, t = 0 .. e-2
@@ -224,25 +265,9 @@ class ExtensionField:
             self._xpow.append(tuple(nxt))
             cur = nxt
 
-    def add_codes(self, a, b):
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        code = 0
-        for i in range(self.e - 1, -1, -1):
-            code = code * p + (da[i] + db[i]) % p
-        return code
-
-    def neg_code(self, a):
-        p = self.p
-        da = self._digits[a]
-        code = 0
-        for i in range(self.e - 1, -1, -1):
-            code = code * p + (-da[i]) % p
-        return code
-
-    def mul_codes(self, a, b):
+    def _mul_digits(self, da, db):
+        """Digit vector of the product of two digit vectors mod modulus."""
         p, e = self.p, self.e
-        da, db = self._digits[a], self._digits[b]
         conv = [0] * (2 * e - 1)
         for i, x in enumerate(da):
             if x:
@@ -255,10 +280,11 @@ class ExtensionField:
                 red = self._xpow[t]
                 for j in range(e):
                     res[j] = (res[j] + c * red[j]) % p
-        code = 0
-        for i in range(e - 1, -1, -1):
-            code = code * p + res[i]
-        return code
+        return res
+
+    def mul_codes(self, a, b):
+        return self._encode(self._mul_digits(self._compute_digits(a),
+                                             self._compute_digits(b)))
 
     def pow_code(self, a, t):
         result = 1
@@ -271,9 +297,9 @@ class ExtensionField:
         return result
 
     def _has_full_order(self, code):
-        if code == 0:
+        if type(code) is not int or not 0 < code < self.order:
             return False
-        for t in factorint(self.N):
+        for t in _prime_factors(self.N):
             if self.pow_code(code, self.N // t) == 1:
                 return False
         return True
@@ -302,15 +328,10 @@ class ExtensionField:
         return FieldElement(self, i % self.N)
 
     def from_code(self, code):
-        if code == 0:
-            return self.zero()
         return FieldElement(self, self.log[code])
 
     def from_coeffs(self, coeffs):
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * self.p + c % self.p
-        return self.from_code(code)
+        return self.from_code(self._encode([c % self.p for c in coeffs]))
 
     def iter_elements(self):
         """All elements in canonical order: zero, then ascending log index."""
@@ -405,7 +426,7 @@ def field_from_descriptor(desc):
 
 def factor_prime_power(q):
     """Split a prime power q into (p, e0) with q = p^e0."""
-    factors = factorint(q)
+    factors = _prime_factors(q)
     if len(factors) != 1:
         raise FieldError(f"{q} is not a prime power")
     (p, e0), = factors.items()

@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .subspaces import build_coset_family, code_min_distance, difference_counts
+from .subspaces import (build_coset_family, check_g_params, code_min_distance,
+                        difference_counts)
 
 
 class OocError(ValueError):
@@ -208,6 +209,10 @@ def check_field_conditions(fld, w_lists, lam):
 
 def johnson_bound(n, w, lam):
     """J(n, w, lam): the nested-floor Johnson bound, exact integers."""
+    if w < 1:
+        raise OocError(f"w must be >= 1, got w={w}")
+    if lam < 0:
+        raise OocError(f"lambda must be >= 0, got lambda={lam}")
     if lam >= w:
         raise OocError(f"lambda must be < w, got lambda={lam}, w={w}")
     if w > n:
@@ -285,10 +290,12 @@ def params_table(specs):
     """Parameter rows (n, w, lam, size, J, ratio) for G-construction specs.
 
     Each spec is a (q, k) pair; size follows the floor((q-1)/2)(q^k-1)/(q-1)
-    count and the weight column is q^k.
+    count and the weight column is q^k.  Specs outside construct_g's
+    domain are rejected.
     """
     rows = []
     for q, k in specs:
+        check_g_params(q, k)
         n = q ** (2 * k) - 1
         w = q ** k
         lam = q
@@ -345,8 +352,15 @@ def oos_to_dict(sets):
 
 
 def oos_from_dict(d):
-    n = d["n"]
-    return [IndexSet(n, frozenset(s)) for s in d["sets"]]
+    for key in ("n", "sets"):
+        if key not in d:
+            raise OocError(f"OOS file has no {key!r} entry")
+    sets = d["sets"]
+    if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(type(a) is int for a in s)
+            for s in sets):
+        raise OocError("OOS file: 'sets' must be a list of integer lists")
+    return [IndexSet(d["n"], frozenset(s)) for s in sets]
 
 
 def write_json(obj, path):

@@ -312,20 +312,16 @@ def construct_w(fld, q, k, s, mu, xi):
     collapses the dimension below k is a hard error.
     """
     emb = fld.subfield(q ** k)
+    c = xi * mu
     qs = q ** s
-    images = set()
-    elements = []
-    for x in emb.elements():
-        y = x + xi * mu * (x ** qs)
-        images.add(y.idx)
-        elements.append(y)
-    if len(images) != q ** k:
+    # emb.elements() is 0, g^0, g^1, ... for the generator g of F_{q^k}
+    images = [x + c * x ** qs for x in emb.elements()]
+    span_idx = {y.idx for y in images}
+    if len(span_idx) != q ** k:
         raise SubspaceError("degenerate (xi, mu): image has dimension < k")
-    # the map is F_q-linear, so its image is a subspace
-    U = span(fld, elements, q)
-    if U.dim != k:
-        raise SubspaceError("degenerate (xi, mu): image has dimension < k")
-    return U
+    # the map is F_q-linear and injective, so it carries the basis
+    # 1, g, ..., g^(k-1) of F_{q^k} to a basis of its image
+    return Subspace(fld, q, images[1:k + 1], span_idx)
 
 
 def validate_multi_orbit(fld, q, k, mus, xi):
@@ -355,6 +351,16 @@ def validate_multi_orbit(fld, q, k, mus, xi):
     return not report, report
 
 
+def check_g_params(q, k):
+    """Reject (q, k) outside the domain of G_{2k,s}: a prime power q >= 3
+    and k >= 2."""
+    if q < 3:
+        raise SubspaceError("construction requires q >= 3")
+    if k < 2:
+        raise SubspaceError("construction requires k >= 2")
+    factor_prime_power(q)
+
+
 def construct_g(q, k, s):
     """The explicit multi-orbit code G_{2k,s} over F_{q^{2k}}.
 
@@ -363,10 +369,9 @@ def construct_g(q, k, s):
     root xi of that quadratic in F_{q^{2k}}, and returns the
     floor((q-1)/2) orbits V_i = {u + u^(q^s) w^i xi : u in F_{q^k}}.
     """
-    if q < 3:
-        raise SubspaceError("construction requires q >= 3")
-    if k < 2:
-        raise SubspaceError("construction requires k >= 2")
+    check_g_params(q, k)
+    if s < 1:
+        raise SubspaceError(f"construction requires s >= 1, got s={s}")
     if math.gcd(s, k) != 1:
         raise SubspaceError(f"gcd(s, k) must be 1, got s={s}, k={k}")
     m = 2 * k
@@ -406,7 +411,9 @@ def construct_g(q, k, s):
 def coset_representatives(U):
     """Pairwise non-F_q-proportional representatives of F_{q^m}/U.
 
-    Greedy scan in canonical element order; returns exactly
+    One covering scan in canonical element order: omega^a becomes the next
+    representative unless an earlier one already covers it, and then all of
+    F_q^* omega^a + U is marked covered.  Returns exactly
     t = (q^{m-k} - 1)/(q - 1) elements, none in U, no two of which differ by
     an F_q-multiple modulo U.
     """
@@ -416,17 +423,23 @@ def coset_representatives(U):
         raise SubspaceError("U must be a proper subspace")
     t = (q ** (m - U.dim) - 1) // (q - 1)
     units = f.subfield(q).nonzero_elements()
+    members = U.members()
+    covered = bytearray(f.N)
+    for i in U.span_idx:
+        if i >= 0:
+            covered[i] = 1
     reps = []
     for a in range(f.N):
+        if covered[a]:
+            continue
         d = f.from_idx(a)
-        if d.idx in U.span_idx:
-            continue
-        if any((d - lam * r).idx in U.span_idx
-               for r in reps for lam in units):
-            continue
         reps.append(d)
         if len(reps) == t:
             break
+        for lam in units:
+            ld = lam * d
+            for u in members:  # d is outside U, so ld + u is never zero
+                covered[(ld + u).idx] = 1
     if len(reps) != t:
         raise SubspaceError(f"expected {t} coset representatives, "
                             f"got {len(reps)}")

@@ -59,7 +59,7 @@ def _coord_map(emb):
         wj = f.omega ** j if f.N > 1 else f.one()
         for l in range(d):
             el = wj * emb.generator ** l
-            cols.append(f._digits[el.code])
+            cols.append(f._compute_digits(el.code))
     rows = [[cols[c][r] for c in range(f.e)] for r in range(f.e)]
     return _matinv_mod(rows, f.p), [emb.generator ** l for l in range(d)]
 
@@ -70,7 +70,7 @@ def subfield_coords(emb, x):
     f = emb.field
     coord_rows, gen_powers = _coord_map(emb)
     d, m = emb.degree, f.e // emb.degree
-    vec = f._digits[x.code]
+    vec = f._compute_digits(x.code)
     b = [sum(r * v for r, v in zip(row, vec)) % f.p for row in coord_rows]
     out = []
     for j in range(m):
@@ -108,6 +108,26 @@ def rank_dim_intersection(U, V):
     emb = U.field.subfield(U.ground_q)
     vectors = [subfield_coords(emb, b) for b in U.basis + V.basis]
     return U.dim + V.dim - _rank(vectors)
+
+
+def greedy_coset_representatives(U):
+    """Oracle for coset_representatives: the first-fit scan that tests each
+    omega^a against U and every F_q-multiple of the representatives so far."""
+    f, q = U.field, U.ground_q
+    units = f.subfield(q).nonzero_elements()
+    t = (f.order // q ** U.dim - 1) // (q - 1)
+    reps = []
+    for a in range(f.N):
+        d = f.from_idx(a)
+        if d.idx in U.span_idx:
+            continue
+        if any((d - lam * r).idx in U.span_idx
+               for r in reps for lam in units):
+            continue
+        reps.append(d)
+        if len(reps) == t:
+            break
+    return reps
 
 
 def canonical_sidon_f64():

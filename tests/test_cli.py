@@ -78,6 +78,15 @@ def test_verify_oos_without_lambda_is_usage_error(q3_run):
     assert main(["verify", str(q3_run) + ".oos.json"]) == 2
 
 
+@pytest.mark.parametrize("blob", [{"sets": [[0, 1]]}, {"n": 7},
+                                  {"n": 7, "sets": [3]}])
+def test_verify_oos_missing_or_bad_key_is_data_error(tmp_path, capsys, blob):
+    path = tmp_path / "bad.oos.json"
+    path.write_text(json.dumps(blob))
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    assert "OOS file" in capsys.readouterr().err
+
+
 def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
     # {0, 1, 3} is a (7, 3, 1) difference set, so only the repeat breaks
     # lambda = 1: its cross-correlation at tau = 0 is the weight
@@ -95,8 +104,10 @@ def test_construct_q2_is_usage_error(capsys):
     assert "q >= 3" in capsys.readouterr().err
 
 
-def test_construct_bad_s_is_usage_error():
+def test_construct_bad_s_is_usage_error(capsys):
     assert main(["construct", "--q", "3", "--k", "2", "--s", "2"]) == 2
+    assert main(["construct", "--q", "3", "--k", "2", "--s", "-1"]) == 2
+    assert "s >= 1" in capsys.readouterr().err
 
 
 def test_construct_from_code_file(tmp_path, capsys):
@@ -156,12 +167,18 @@ def test_bound_with_size(capsys):
 
 def test_bound_rejects_lam_ge_w(capsys):
     assert main(["bound", "8", "4", "5"]) == 2
+    assert main(["bound", "0", "0", "-1"]) == 2
+    assert main(["bound", "10", "3", "-1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_table_command(capsys):
     assert main(["table", "3,2", "5,2"]) == 0
     out = capsys.readouterr().out
     assert "80" in out and "624" in out
+    for spec in ["2,2", "3,1", "6,2"]:  # outside construct_g's domain
+        assert main(["table", "3,2", spec]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_field_info(capsys):

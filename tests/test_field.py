@@ -5,10 +5,11 @@ import json
 import random
 
 import pytest
-from sympy import GF, Poly, Symbol
+from sympy import GF, Poly, Symbol, factorint
 
 from oocgen import (FieldError, field_create, field_from_descriptor,
                     field_for_prime_power, gaussian_binomial)
+from oocgen.field import _prime_factors
 from conftest import subfield_coords
 
 
@@ -43,8 +44,9 @@ def test_reducible_modulus_rejected():
 
 
 def test_nonprime_p_rejected():
-    with pytest.raises(FieldError, match="not prime"):
-        field_create(6, 2)
+    for p in [6, 1, 0, -3, 9, 3.0]:
+        with pytest.raises(FieldError, match="not prime"):
+            field_create(p, 2)
 
 
 def test_canonical_modulus_agrees_with_sympy():
@@ -93,6 +95,45 @@ def test_field_axioms_exhaustive(p, e):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _digitwise(f, *codes, sign=1):
+    """sign * (sum of the codes), digit by digit mod p: the coefficient-vector
+    sum, computed without the field's tables."""
+    out, scale = 0, 1
+    codes = list(codes)
+    for _ in range(f.e):
+        out += (sign * sum(c % f.p for c in codes) % f.p) * scale
+        codes = [c // f.p for c in codes]
+        scale *= f.p
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2)])
+def test_zech_addition_and_negation_exhaustive(p, e):
+    f = field_create(p, e)
+    elems = list(f.iter_elements())
+    for a in elems:
+        assert (-a).code == _digitwise(f, a.code, sign=-1)
+        for b in elems:
+            assert (a + b).code == _digitwise(f, a.code, b.code)
+
+
+@pytest.mark.parametrize("p,e", [(3, 4), (2, 6)])
+def test_zech_addition_and_negation_random(p, e):
+    f = field_create(p, e)
+    rng = random.Random(p ** e)
+    for _ in range(2000):
+        a = f.from_idx(rng.randrange(-1, f.N))
+        b = f.from_idx(rng.randrange(-1, f.N))
+        assert (a + b).code == _digitwise(f, a.code, b.code)
+        assert (-a).code == _digitwise(f, a.code, sign=-1)
+        assert (a - b) + b == a
+
+
+def test_prime_factors_match_sympy():
+    for n in range(20000):
+        assert _prime_factors(n) == (factorint(n) if n > 1 else {})
 
 
 def test_field_axioms_random_f81():

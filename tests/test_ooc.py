@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oocgen import (Codeword, IndexSet, OocError, autocorr_max, build_ooc,
-                    check_field_conditions, crosscorr_max, difference_counts,
-                    field_create, johnson_bound, optimality_ratio,
+                    check_field_conditions, construct_g, crosscorr_max,
+                    difference_counts, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, shift, support, unsupport,
                     verify_oos)
 from conftest import bit_corr, bit_level_ooc_ok
@@ -237,6 +237,10 @@ def test_johnson_examples():
 def test_johnson_rejects_lam_ge_w():
     with pytest.raises(OocError):
         johnson_bound(8, 4, 5)
+    with pytest.raises(OocError, match="lambda must be >= 0"):
+        johnson_bound(10, 3, -1)
+    with pytest.raises(OocError):
+        johnson_bound(0, 0, -1)
 
 
 @given(st.integers(10, 400), st.integers(3, 9), st.integers(1, 7))
@@ -290,3 +294,8 @@ def test_params_table():
     assert rows[2]["n"] == 624 and rows[2]["size"] == 12
     for row in rows:
         assert row["ratio"] < 1
+    for spec in [(2, 2), (3, 1), (6, 2)]:  # construct_g rejects these too
+        with pytest.raises(ValueError):
+            params_table([spec])
+        with pytest.raises(ValueError):
+            construct_g(*spec, 1)

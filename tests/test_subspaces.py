@@ -12,7 +12,8 @@ from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     gaussian_binomial, is_multi_sidon, is_sidon, orbit,
                     orbit_size, span, subspace_distance, validate_multi_orbit)
 from oocgen.subspaces import _log_exact
-from conftest import rank_dim_intersection
+from conftest import (canonical_sidon_f64, greedy_coset_representatives,
+                      rank_dim_intersection)
 
 
 F81 = field_create(3, 4)
@@ -289,6 +290,24 @@ def test_construct_w_gcd_degenerate_not_sidon():
     assert not ok and wit is not None
 
 
+def test_construct_w_basis_is_what_span_picks():
+    # images of 1, g, ..., g^(k-1) under x -> x + xi mu x^(q^s)
+    emb = F81.subfield(9)
+    xi = next(x for x in F81.iter_elements()
+              if not x.is_zero() and not emb.contains(x))
+    checked = 0
+    for mu in emb.nonzero_elements():
+        try:
+            U = construct_w(F81, 3, 2, 1, mu, xi)
+        except SubspaceError:
+            continue
+        images = [x + xi * mu * x ** 3 for x in emb.elements()]
+        V = span(F81, images, 3)
+        assert U.basis == V.basis and U.span_idx == V.span_idx
+        checked += 1
+    assert checked
+
+
 def test_construct_w_valid_is_sidon():
     emb = F81.subfield(9)
     for xi in F81.iter_elements():
@@ -359,6 +378,8 @@ def test_construct_g_rejects_q2():
 def test_construct_g_rejects_bad_s():
     with pytest.raises(SubspaceError):
         construct_g(3, 2, 2)
+    with pytest.raises(SubspaceError, match="s >= 1"):
+        construct_g(3, 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +411,30 @@ def test_coset_representatives_q2_m6():
     U = _subspace(f, [0, 1, 2], 2)
     assert U.dim == 3
     assert len(coset_representatives(U)) == 7  # (2^3 - 1)/1
+
+
+def _random_subspace(p, e, q, dim, seed):
+    f = field_create(p, e)
+    rng = random.Random(seed)
+    while True:
+        U = _subspace(f, rng.sample(range(f.N), dim), q)
+        if U.dim == dim:
+            return U
+
+
+@pytest.mark.parametrize("case", ["q3k2", "q5k2", "q2m6", "random"])
+def test_coset_representatives_match_greedy_oracle(case, pipeline_q3,
+                                                   pipeline_q5):
+    spaces = {
+        "q3k2": lambda: pipeline_q3[0].representatives,
+        "q5k2": lambda: pipeline_q5[0].representatives,
+        "q2m6": lambda: [canonical_sidon_f64()],
+        "random": lambda: [_random_subspace(3, 4, 3, 2, 5),
+                           _random_subspace(3, 4, 9, 1, 6),
+                           _random_subspace(2, 6, 2, 2, 7)],
+    }[case]()
+    for U in spaces:
+        assert coset_representatives(U) == greedy_coset_representatives(U)
 
 
 def test_coset_family_q3(pipeline_q3):
