@@ -6,10 +6,16 @@ Full exp/log tables are built at construction, so multiplication, inversion
 and discrete logs are index arithmetic.  Addition stays in the log domain
 too: a Zech table holds zech[i] = log(1 + omega^i) (-1 when that sum is
 zero), so omega^a + omega^b = omega^(a + zech[b - a]) is one lookup, and
-negation adds N/2 to the index for odd p.  Polynomial arithmetic on the
-coefficient ("code") representation, sum(c_i x^i) mod modulus encoded as
-the integer sum(c_i p^i), is used only to build the tables, to test
-primitivity and by the independent polynomial-route checker.
+negation adds N/2 to the index for odd p.
+
+The exp table is built one table-driven omega-step per element: multiplying
+by omega is F_p-linear, so the code of omega*c is the sum of two
+precomputed products, one for each half of c's digits, summed without
+carries and mapped back to digits by lookup (ExtensionField._exp_log_tables).
+Polynomial arithmetic on the coefficient ("code") representation,
+sum(c_i x^i) mod modulus encoded as the integer sum(c_i p^i), is used only
+to precompute those products, to test primitivity and by the independent
+polynomial-route checker.
 
 All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
@@ -87,8 +93,10 @@ def canonical_modulus(p, e):
     """Lexicographically smallest monic irreducible of degree e over F_p.
 
     Coefficient tuples (c_0, ..., c_{e-1}) are compared low degree first.
+    For e >= 2 tails with c_0 = 0 are skipped: x divides them.
     """
-    for tail in itertools.product(range(p), repeat=e):
+    c0 = range(1 if e >= 2 else 0, p)
+    for tail in itertools.product(c0, *[range(p)] * (e - 1)):
         f = list(tail) + [1]
         if find_irreducible_factor(f, p) is None:
             return f
@@ -214,18 +222,9 @@ class ExtensionField:
             raise FieldError(f"omega code {omega_code} is not primitive")
         self.omega_code = omega_code
 
-        # exp/log tables, stepping the digit vector of omega^i; for F_2
-        # (N = 1) omega is 1 and exp = [1].  log[0] = -1 encodes zero.
-        n = max(self.N, 1)
-        self.exp = [0] * n
-        self.log = [-1] * self.order
-        d_omega = self._compute_digits(omega_code)
-        d = self._compute_digits(1)
-        for i in range(n):
-            c = self._encode(d)
-            self.exp[i] = c
-            self.log[c] = i
-            d = self._mul_digits(d, d_omega)
+        # exp[i] is the code of omega^i and log[code] = i; for F_2 (N = 1)
+        # omega is 1 and exp = [1].  log[0] = -1 encodes zero.
+        self.exp, self.log = self._exp_log_tables()
         if self.log.count(-1) != 1:
             raise FieldError("exp table is not a bijection")  # unreachable
 
@@ -234,6 +233,44 @@ class ExtensionField:
                      for c in self.exp]
 
         self._subfields = {}
+
+    def _exp_log_tables(self):
+        """exp and log tables, one table-driven omega-step per element.
+
+        Multiplication by omega is F_p-linear.  Split a code as lo + hi*P
+        with P = p^h, h = ceil(e/2); then omega*c = omega*lo + omega*(hi*x^h),
+        and both products are precomputed with mul_codes for every lo and hi.
+        They are stored spread: digit j sits in a slot of base B = 2p - 1,
+        so their sum never carries, and each half of the sum maps back to
+        p-ary digits (every slot mod p) by one lookup in r.  The tables hold
+        2p^h + p^(e-h) + B^h entries, O(order) for every (p, e).
+        """
+        p, e, omega = self.p, self.e, self.omega_code
+        h = (e + 1) // 2
+        P, B = p ** h, 2 * p - 1
+        Bh = B ** h
+        spread, r = [0], [0]  # h-digit half: p-ary -> spread, spread -> p-ary
+        for j in range(h):
+            spread = [s + d * B ** j for d in range(p) for s in spread]
+            r = [t + (d % p) * p ** j for d in range(B) for t in r]
+
+        def spread_code(c):
+            return spread[c % P] + spread[c // P] * Bh
+
+        w_lo = [spread_code(self.mul_codes(omega, lo)) for lo in range(P)]
+        w_hi = [spread_code(self.mul_codes(omega, hi * P))
+                for hi in range(p ** (e - h))]
+        n = max(self.N, 1)
+        exp = [0] * n
+        log = [-1] * self.order
+        lo, hi = 1, 0
+        for i in range(n):
+            c = lo + hi * P
+            exp[i] = c
+            log[c] = i
+            s = w_lo[lo] + w_hi[hi]
+            lo, hi = r[s % Bh], r[s // Bh]
+        return exp, log
 
     # -- code-level arithmetic (polynomial route, independent of the tables)
 

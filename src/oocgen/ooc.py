@@ -137,6 +137,8 @@ def verify_oos(sets, lam):
     carries the exact maxima and the first witness of each maximum
     (smallest tau, then smallest word index pair).
     """
+    if lam < 0:
+        raise OocError(f"lambda must be >= 0, got lambda={lam}")
     if not sets:
         raise OocError("empty family")
     n = sets[0].n
@@ -183,15 +185,18 @@ def check_field_conditions(fld, w_lists, lam):
         code_sets.append(frozenset(codes))
     if len(set(code_sets)) != len(code_sets):
         raise OocError("the W_i must be pairwise distinct")
-    mul = fld.mul_codes
+    digits, mul, enc = fld._compute_digits, fld._mul_digits, fld._encode
+    digit_sets = [[digits(c) for c in codes] for codes in code_sets]
     for a in range(2, fld.order):
+        da = digits(a)
         for i, codes in enumerate(code_sets):
-            scaled = frozenset(mul(a, c) for c in codes)
+            scaled = frozenset(enc(mul(da, d)) for d in digit_sets[i])
             if len(codes & scaled) > lam:
                 return False, {"pair": (i, i), "alpha_code": a,
                                "value": len(codes & scaled)}
     for a in range(1, fld.order):
-        scaled = [frozenset(mul(a, c) for c in codes) for codes in code_sets]
+        da = digits(a)
+        scaled = [frozenset(enc(mul(da, d)) for d in ds) for ds in digit_sets]
         for i in range(len(code_sets)):
             for j in range(len(code_sets)):
                 if i == j:
@@ -321,8 +326,12 @@ def write_ooc_text(ooc, path):
 
 
 def read_ooc_text(path):
-    """Parse the bits format; returns (codewords, declared lam or None)."""
-    lam = None
+    """Parse the bits format; returns (codewords, declared lam or None).
+
+    The header's n= and lambda= entries must be integers, and a declared n
+    must be the codeword length.
+    """
+    header = {}
     words = []
     with open(path) as f:
         for line in f:
@@ -332,8 +341,12 @@ def read_ooc_text(path):
             if line.startswith("#"):
                 for tok in line[1:].split():
                     key, _, val = tok.partition("=")
-                    if key == "lambda":
-                        lam = int(val)
+                    if key in ("n", "lambda"):
+                        try:
+                            header[key] = int(val)
+                        except ValueError:
+                            raise OocError(f"bits header entry {tok!r} is "
+                                           f"not an integer") from None
                 continue
             if set(line) - {"0", "1"}:
                 raise OocError(f"invalid codeword line: {line[:40]!r}")
@@ -342,7 +355,10 @@ def read_ooc_text(path):
         raise OocError("no codewords in file")
     if len({cw.n for cw in words}) != 1:
         raise OocError("codewords have mixed lengths")
-    return words, lam
+    if header.get("n", words[0].n) != words[0].n:
+        raise OocError(f"bits header declares n={header['n']} but the "
+                       f"codewords have length {words[0].n}")
+    return words, header.get("lambda")
 
 
 def oos_to_dict(sets):

@@ -7,6 +7,7 @@ import pytest
 
 from oocgen import (CyclicSubspaceCode, build_ooc, code_min_distance,
                     construct_g, field_create, is_sidon, span)
+from oocgen.field import find_irreducible_factor
 
 
 def bit_corr(xbits, ybits, tau):
@@ -28,6 +29,37 @@ def bit_level_ooc_ok(words, lam):
                 if bit_corr(words[i], words[j], tau) > lam:
                     return False
     return True
+
+
+def first_irreducible(p, e):
+    """Oracle for canonical_modulus: the first monic irreducible of degree e
+    in the full low-degree-first scan, x-divisible tails included."""
+    for tail in itertools.product(range(p), repeat=e):
+        f = list(tail) + [1]
+        if find_irreducible_factor(f, p) is None:
+            return f
+    raise AssertionError(f"no irreducible of degree {e} over F_{p}")
+
+
+def poly_exp_table(fld):
+    """Oracle for the field's exp, log and zech tables: step the digit
+    vector of omega^i by one polynomial product mod the modulus per element,
+    and add 1 to the constant digit for zech."""
+    n = max(fld.N, 1)
+    exp, log = [0] * n, [-1] * fld.order
+    d_omega = fld._compute_digits(fld.omega_code)
+    d = fld._compute_digits(1)
+    for i in range(n):
+        c = fld._encode(d)
+        exp[i] = c
+        log[c] = i
+        d = fld._mul_digits(d, d_omega)
+    zech = []
+    for c in exp:
+        d = list(fld._compute_digits(c))
+        d[0] = (d[0] + 1) % fld.p
+        zech.append(log[fld._encode(d)])
+    return exp, log, zech
 
 
 def _matinv_mod(rows, p):

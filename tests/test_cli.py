@@ -99,6 +99,31 @@ def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
                                       "tau": 0, "value": 3}
 
 
+def test_verify_negative_lambda_is_usage_error(q3_run, tmp_path, capsys):
+    assert main(["verify", str(q3_run) + ".ooc", "--lambda", "-1"]) == 2
+    path = tmp_path / "neg.ooc"
+    path.write_text("# n=7 w=3 lambda=-3 size=1\n1101000\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("lambda must be >= 0") == 2
+
+
+@pytest.mark.parametrize("header,message", [
+    ("# n=7 w=3 lambda=x size=1", "'lambda=x'"),
+    ("# n=seven w=3 lambda=1 size=1", "'n=seven'"),
+    ("# n=8 w=3 lambda=1 size=1", "n=8"),
+])
+def test_verify_bad_bits_header_is_data_error(tmp_path, capsys, header,
+                                              message):
+    path = tmp_path / "bad.ooc"
+    path.write_text(header + "\n1101000\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bits header" in captured.err and message in captured.err
+
+
 def test_construct_q2_is_usage_error(capsys):
     assert main(["construct", "--q", "2", "--k", "2", "--s", "1"]) == 2
     assert "q >= 3" in capsys.readouterr().err

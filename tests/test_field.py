@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from sympy import GF, Poly, Symbol, factorint
 
 from oocgen import (FieldError, field_create, field_from_descriptor,
                     field_for_prime_power, gaussian_binomial)
-from oocgen.field import _prime_factors
-from conftest import subfield_coords
+from oocgen.field import _prime_factors, canonical_modulus
+from conftest import first_irreducible, poly_exp_table, subfield_coords
 
 
 def test_prime_field_f2():
@@ -55,6 +56,29 @@ def test_canonical_modulus_agrees_with_sympy():
         f = field_create(p, e)
         poly = Poly(list(reversed(f.modulus)), x, domain=GF(p))
         assert poly.is_irreducible
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_canonical_modulus_is_first_irreducible_of_full_scan(p):
+    for e in range(1, 7):
+        assert canonical_modulus(p, e) == first_irreducible(p, e)
+
+
+# (10007, 1) guards against any table that grows as p^2
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (10007, 1), (2, 5), (2, 12),
+                                 (3, 5), (3, 8), (5, 3), (7, 4), (13, 3),
+                                 (31, 3)])
+def test_tables_match_polynomial_stepping_oracle(p, e):
+    f = field_create(p, e)
+    exp, log, zech = poly_exp_table(f)
+    assert log.count(-1) == 1
+    assert f.modulus == tuple(first_irreducible(p, e))
+    assert f.exp == exp
+    assert f.log == log
+    assert f.zech == zech
+    # omega^L has order N / gcd(L, N): omega is the smallest primitive code
+    assert f.omega_code == min(c for c in range(1, f.order)
+                               if math.gcd(log[c], f.N) == 1)
 
 
 def test_dlog_examples():
