@@ -1,13 +1,17 @@
 """Command-line front end: construct, verify, bound, table, field-info.
 
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
-data errors.  Every construct run self-verifies before writing any file.
+data errors.  Every construct run self-verifies before writing any file, and
+writes its four files under temporary names first, so they appear all or
+none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .field import FieldError, field_for_prime_power
@@ -16,6 +20,22 @@ from .ooc import (OocError, VerificationError, build_ooc, johnson_bound,
                   read_ooc_text, support, verify_oos, write_json,
                   write_ooc_text)
 from .subspaces import SubspaceError, code_from_dict, construct_g
+
+
+def _write_all(prefix, writes):
+    """Run each (write, obj, suffix) to a temporary name beside prefix, then
+    move all of them into place, so a failed write leaves no partial set."""
+    tmp = []
+    try:
+        for write, obj, suffix in writes:
+            tmp.append((f"{prefix}{suffix}.tmp", f"{prefix}{suffix}"))
+            write(obj, tmp[-1][0])
+        for path, final in tmp:
+            os.replace(path, final)
+    finally:
+        for path, _ in tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def _cmd_construct(args):
@@ -41,12 +61,11 @@ def _cmd_construct(args):
               file=sys.stderr)
         return 1
 
-    prefix = args.out
-    write_ooc_text(ooc, f"{prefix}.ooc")
     sets = [support(cw) for cw in ooc.codewords]
-    write_json(oos_to_dict(sets), f"{prefix}.oos.json")
-    write_json(code.to_dict(), f"{prefix}.code.json")
-    write_json(report.to_dict(), f"{prefix}.report.json")
+    _write_all(args.out, [(write_ooc_text, ooc, ".ooc"),
+                          (write_json, oos_to_dict(sets), ".oos.json"),
+                          (write_json, code.to_dict(), ".code.json"),
+                          (write_json, report.to_dict(), ".report.json")])
 
     if args.format == "json":
         print(json.dumps({"params": params.to_dict(),

@@ -328,8 +328,8 @@ def write_ooc_text(ooc, path):
 def read_ooc_text(path):
     """Parse the bits format; returns (codewords, declared lam or None).
 
-    The header's n= and lambda= entries must be integers, and a declared n
-    must be the codeword length.
+    The header's n=, w=, size= and lambda= entries must be integers, and a
+    declared n, w or size must be the codewords' length, weight or number.
     """
     header = {}
     words = []
@@ -341,7 +341,7 @@ def read_ooc_text(path):
             if line.startswith("#"):
                 for tok in line[1:].split():
                     key, _, val = tok.partition("=")
-                    if key in ("n", "lambda"):
+                    if key in ("n", "w", "size", "lambda"):
                         try:
                             header[key] = int(val)
                         except ValueError:
@@ -355,9 +355,12 @@ def read_ooc_text(path):
         raise OocError("no codewords in file")
     if len({cw.n for cw in words}) != 1:
         raise OocError("codewords have mixed lengths")
-    if header.get("n", words[0].n) != words[0].n:
-        raise OocError(f"bits header declares n={header['n']} but the "
-                       f"codewords have length {words[0].n}")
+    for key, actual, what in (("n", words[0].n, "codeword length"),
+                              ("w", words[0].weight, "codeword weight"),
+                              ("size", len(words), "number of codewords")):
+        if header.get(key, actual) != actual:
+            raise OocError(f"bits header declares {key}={header[key]} but "
+                           f"the {what} is {actual}")
     return words, header.get("lambda")
 
 

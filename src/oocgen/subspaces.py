@@ -5,11 +5,18 @@ which makes scaling by a nonzero field element a cheap index shift.  Every
 sweep over scalings alpha = omega^a asks for |U ∩ alpha V| at each a, and
 all of them are answered by one cyclic difference count on the nonzero
 indices: |U ∩ alpha V| = 1 + #{(u, v) : u - v = a (mod N)}.
+
+The count, difference_counts, takes one of two routes by input size alone.
+Sparse pairs (|X|·|Y| <= 16·n, every sweep of the construction) loop over
+X x Y.  Dense pairs, such as foreign OOC files with w/n = 1/4, are one
+big-integer product X(z)·Y(z^-1) mod z^n - 1 by Kronecker substitution,
+which costs O(n) however few members the sets have.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .field import (ExtensionField, factor_prime_power, field_from_descriptor,
@@ -32,17 +39,56 @@ def _log_exact(size, q):
     return d
 
 
+# Pair steps per slot of c up to which the pair loop beats the product: the
+# product costs O(n) in packing and folding however sparse the sets are.
+_LOOP_PAIRS_PER_SLOT = 16
+
+_SLOT_FORMAT = {1: "B", 2: "H", 4: "I"}
+
+
 def difference_counts(X, Y, n):
     """c with c[tau] = |X ∩ (Y + tau)| for every tau in Z_n.
 
-    Counts x - y (mod n) over all pairs (x, y) in X x Y; members must lie
-    in range(n), so a negative difference indexes c from the end, which is
-    the reduction mod n.
+    X and Y hold distinct members of range(n).  Sparse pairs, with
+    |X|·|Y| <= _LOOP_PAIRS_PER_SLOT·n, count x - y (mod n) over all pairs
+    (x, y) in X x Y; a negative difference indexes c from the end, which is
+    the reduction mod n.  Denser pairs take _product_counts.
     """
+    if len(X) * len(Y) > _LOOP_PAIRS_PER_SLOT * n:
+        return _product_counts(X, Y, n)
     c = [0] * n
     for y in Y:
         for x in X:
             c[x - y] += 1
+    return c
+
+
+def _product_counts(X, Y, n):
+    """difference_counts as one integer product X(z)·Y(z^-1) mod z^n - 1.
+
+    Kronecker substitution: X goes in as sum z^x and Y as sum z^(n-1-y),
+    with z = 2^(8b) and b bytes per slot, so the product's coefficient at
+    n-1+tau counts x - y = tau.  No coefficient exceeds min(|X|, |Y|), so b
+    is the smallest width that holds that, and neither the product nor the
+    cyclic fold ever carries into the next slot.
+    """
+    m = min(len(X), len(Y))
+    b = 1 if m < 1 << 8 else 2 if m < 1 << 16 else 4
+    bits = 8 * b
+    xs, ys = bytearray(n * b), bytearray(n * b)
+    for x in X:
+        xs[x * b] = 1
+    for y in Y:
+        ys[(n - 1 - y) * b] = 1
+    P = int.from_bytes(xs, "little") * int.from_bytes(ys, "little")
+    low = (n - 1) * bits
+    P = (P >> low) + ((P & ((1 << low) - 1)) << bits)
+    # the cast reads slots in native byte order; a big-endian to_bytes also
+    # puts slot 0 last
+    c = memoryview(P.to_bytes(n * b, sys.byteorder)).cast(
+        _SLOT_FORMAT[b]).tolist()
+    if sys.byteorder == "big":
+        c.reverse()
     return c
 
 

@@ -16,6 +16,15 @@ def bit_corr(xbits, ybits, tau):
     return sum(xbits[t] * ybits[(t + tau) % n] for t in range(n))
 
 
+def pair_difference_counts(X, Y, n):
+    """The pair loop: c[tau] = #{(x, y) in X x Y : x - y = tau (mod n)}."""
+    c = [0] * n
+    for x in X:
+        for y in Y:
+            c[(x - y) % n] += 1
+    return c
+
+
 def bit_level_ooc_ok(words, lam):
     """Brute-force OOC check directly on bit vectors."""
     for x in words:

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oocgen import cli
 from oocgen.cli import main
-from conftest import canonical_sidon_f64
+from conftest import bit_level_ooc_ok, canonical_sidon_f64
 from oocgen import CyclicSubspaceCode, subspace_to_dict
 
 
@@ -113,6 +115,10 @@ def test_verify_negative_lambda_is_usage_error(q3_run, tmp_path, capsys):
     ("# n=7 w=3 lambda=x size=1", "'lambda=x'"),
     ("# n=seven w=3 lambda=1 size=1", "'n=seven'"),
     ("# n=8 w=3 lambda=1 size=1", "n=8"),
+    ("# n=7 w=5 lambda=1 size=9", "w=5"),
+    ("# n=7 w=3 lambda=1 size=9", "size=9"),
+    ("# n=7 w=three lambda=1 size=1", "'w=three'"),
+    ("# n=7 w=3 lambda=1 size=1.0", "'size=1.0'"),
 ])
 def test_verify_bad_bits_header_is_data_error(tmp_path, capsys, header,
                                               message):
@@ -122,6 +128,84 @@ def test_verify_bad_bits_header_is_data_error(tmp_path, capsys, header,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bits header" in captured.err and message in captured.err
+
+
+def test_construct_failed_write_leaves_no_files(tmp_path, monkeypatch):
+    def write_json(obj, path):
+        if ".report.json" in path:  # the last of the four writes
+            raise OSError("disk full")
+        real_write_json(obj, path)
+
+    real_write_json = cli.write_json
+    monkeypatch.setattr(cli, "write_json", write_json)
+    assert main(["construct", "--q", "3", "--k", "2", "--s", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+# A changed header entry: left out, another integer, or a token that is not
+# an integer.
+_ENTRY = st.one_of(st.none(), st.integers(-1, 9),
+                   st.sampled_from(["x", "", "1.5", "0x3"]))
+
+
+@st.composite
+def _bits_file(draw):
+    """(header, words, flaw, text) of a small bits file with at most one
+    flaw: a word of another weight or length, a bad line, or one header
+    entry changed."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(0, n))
+    words = [[1 if i in ones else 0 for i in range(n)]
+             for ones in draw(st.lists(st.sets(st.integers(0, n - 1),
+                                               min_size=w, max_size=w),
+                                       min_size=0, max_size=4))]
+    flaw = draw(st.sampled_from(["none", "none", "none", "weight", "length",
+                                 "char", "header"]))
+    if words and flaw == "weight":
+        words[-1][0] ^= 1
+    elif words and flaw == "length":
+        words[-1].append(0)
+    lines = ["".join(map(str, word)) for word in words]
+    if flaw == "char":
+        lines.append("10x1")
+    header = {"n": n, "w": w, "size": len(words),
+              "lambda": draw(st.integers(0, 3))}
+    if flaw == "header":
+        key = draw(st.sampled_from(sorted(header)))
+        header[key] = draw(_ENTRY)
+        if header[key] is None:
+            del header[key]
+    head = " ".join(f"{key}={val}" for key, val in header.items())
+    return header, words, flaw, "\n".join([f"# {head}"] + lines) + "\n"
+
+
+def _expected_exit(header, words, flaw):
+    """0 or 1 from the bit-level oracle for a well-formed file, else 2."""
+    if flaw == "char" or not words:
+        return 2
+    if any(type(v) is not int for v in header.values()):
+        return 2
+    if (len({len(x) for x in words}) != 1
+            or len({sum(x) for x in words}) != 1):
+        return 2
+    actual = {"n": len(words[0]), "w": sum(words[0]), "size": len(words)}
+    if any(header.get(key, v) != v for key, v in actual.items()):
+        return 2
+    lam = header.get("lambda")
+    if lam is None or lam < 0:
+        return 2
+    return 0 if bit_level_ooc_ok(words, lam) else 1
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_bits_file())
+def test_verify_fuzzed_bits_file_exit_code(tmp_path, drawn):
+    header, words, flaw, text = drawn
+    path = tmp_path / "fuzz.ooc"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == _expected_exit(header, words, flaw)
 
 
 def test_construct_q2_is_usage_error(capsys):

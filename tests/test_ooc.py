@@ -1,6 +1,7 @@
 """Index sets, correlation maxima, field-side conditions, bounds, pipeline."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from oocgen import (Codeword, IndexSet, OocError, autocorr_max, build_ooc,
                     difference_counts, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, shift, support, unsupport,
                     verify_oos)
-from conftest import bit_corr, bit_level_ooc_ok
+from oocgen import subspaces
+from oocgen.subspaces import _product_counts
+from conftest import bit_corr, bit_level_ooc_ok, pair_difference_counts
 
 
 F81 = field_create(3, 4)
@@ -146,6 +149,93 @@ def test_difference_counts_match_bit_oracle(pair):
         assert autocorr_max(X) == (0, None)
 
 
+def _range_counts(m, n):
+    """c for X = Y = range(m) in Z_n, m <= n, in closed form: the
+    difference d in (-m, m) occurs m - |d| times and lands on d mod n."""
+    return [max(0, m - t) + (max(0, m - (n - t)) if t else 0)
+            for t in range(n)]
+
+
+@pytest.mark.parametrize("X,Y,n", [
+    ({0}, {0}, 1), (set(), {0}, 1), ({0}, set(), 1),
+    (set(), {1, 2}, 5), ({0, 3}, set(), 5),
+    ({0, 1, 3}, {0, 1, 3}, 7), ({2, 5, 6}, {0, 4}, 7),
+])
+def test_product_counts_small_cases(X, Y, n):
+    xb = [1 if t in X else 0 for t in range(n)]
+    yb = [1 if t in Y else 0 for t in range(n)]
+    c = _product_counts(X, Y, n)
+    assert c == [bit_corr(yb, xb, tau) for tau in range(n)]
+    assert c == pair_difference_counts(X, Y, n)
+    if X == Y:
+        assert c[0] == len(X)
+
+
+@pytest.mark.parametrize("m,n", [(255, 600), (256, 600), (300, 400)])
+def test_product_counts_at_slot_width_boundaries(m, n):
+    # a count of 255 fits one byte per slot, 256 needs two; the fold wraps
+    # the counts of negative differences round to the top of c
+    X = range(m)
+    assert _product_counts(X, X, n) == _range_counts(m, n)
+    assert _range_counts(m, n) == pair_difference_counts(X, X, n)
+
+
+@pytest.mark.parametrize("m", [65535, 65536])
+def test_product_counts_at_widest_slots(m):
+    # 65535 is the largest count two bytes hold; 65536 takes four
+    c = _product_counts(range(m), range(m), m + 1)
+    assert c == _range_counts(m, m + 1)
+    assert c[0] == m
+
+
+def test_product_counts_slot_order_on_big_endian_hosts(monkeypatch):
+    # one-byte slots read the same in either byte order, so this runs the
+    # big-endian branch's slot reversal on any host
+    X, Y, n = {0, 1, 4, 9}, {2, 3, 9}, 13
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert _product_counts(X, Y, n) == pair_difference_counts(X, Y, n)
+
+
+@st.composite
+def _dense_pair(draw):
+    n = draw(st.integers(1, 48))
+    members = st.frozensets(st.integers(0, n - 1), min_size=n // 2)
+    return draw(members), draw(members), n
+
+
+@given(_dense_pair())
+def test_product_counts_match_pair_loop_and_bit_oracle(pair):
+    X, Y, n = pair
+    xb = [1 if t in X else 0 for t in range(n)]
+    yb = [1 if t in Y else 0 for t in range(n)]
+    c = _product_counts(X, Y, n)
+    assert c == pair_difference_counts(X, Y, n)
+    assert c == [bit_corr(yb, xb, tau) for tau in range(n)]
+    assert difference_counts(X, Y, n) == c
+
+
+@pytest.mark.parametrize("w,n,route", [
+    (49, 2400, "loop"), (48, 2400, "loop"), (242, 59048, "loop"),
+    (500, 2000, "product"), (24, 36, "loop"), (25, 36, "product"),
+])
+def test_difference_counts_route_follows_size_rule(monkeypatch, w, n,
+                                                    route):
+    # the benchmark's construct and design sweeps (w = 49, 48, 242) stay on
+    # the loop and its dense verify (w = 500) takes the product; 24^2 is
+    # exactly 16 * 36
+    taken = ["loop"]
+    real = subspaces._product_counts
+
+    def spy(X, Y, n):
+        taken[0] = "product"
+        return real(X, Y, n)
+
+    monkeypatch.setattr(subspaces, "_product_counts", spy)
+    X = range(w)
+    assert difference_counts(X, X, n) == _range_counts(w, n)
+    assert taken == [route]
+
+
 # ---------------------------------------------------------------------------
 # verify_oos
 # ---------------------------------------------------------------------------
@@ -175,6 +265,23 @@ def test_verify_matches_bit_level_oracle():
         lam = rng.randrange(1, w + 1)
         words = [unsupport(X, n).bits for X in sets]
         assert verify_oos(sets, lam).passed == bit_level_ooc_ok(words, lam)
+
+
+def test_verify_dense_family_matches_bit_level_oracle():
+    # w^2 = 10000 > 16n, so every count takes the product route
+    rng = random.Random(15)
+    n, w = 400, 100
+    sets = [IndexSet(n, frozenset(rng.sample(range(n), w))) for _ in range(4)]
+    words = [unsupport(X, n).bits for X in sets]
+    report = verify_oos(sets, w)
+    worst = max(report.max_auto, report.max_cross)
+    for wit in report.witnesses:
+        x, y = ((wit["word"],) * 2 if wit["kind"] == "auto"
+                else wit["words"])
+        assert bit_corr(words[y], words[x], wit["tau"]) == wit["value"]
+    assert verify_oos(sets, worst).passed and bit_level_ooc_ok(words, worst)
+    assert not verify_oos(sets, worst - 1).passed
+    assert not bit_level_ooc_ok(words, worst - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ import oocgen
 SRC = pathlib.Path(oocgen.__file__).parent
 
 
-def test_import_loads_no_sympy():
+def test_import_loads_no_sympy_or_numpy():
+    # numpy alone roughly doubles a bare interpreter's peak RSS, so the
+    # kernels stay pure Python
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, oocgen, oocgen.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('sympy', 'numpy')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
