@@ -11,10 +11,9 @@ from .subspaces import (CosetFamily, CyclicSubspaceCode, Subspace,
                         dim_intersection, is_multi_sidon, is_sidon, orbit,
                         orbit_size, span, subspace_distance, subspace_to_dict,
                         validate_multi_orbit)
-from .ooc import (Codeword, IndexSet, OocCode, OocError, OocParams,
-                  VerificationError, VerificationReport, autocorr_max,
-                  build_ooc, check_field_conditions, crosscorr_max,
-                  johnson_bound, optimality_ratio, params_table, s_of_w,
-                  shift, support, unsupport, verify_oos)
+from .ooc import (IndexSet, OocCode, OocError, OocParams, VerificationError,
+                  VerificationReport, autocorr_max, build_ooc,
+                  check_field_conditions, crosscorr_max, johnson_bound,
+                  optimality_ratio, params_table, s_of_w, shift, verify_oos)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line front end: construct, verify, bound, table, field-info.
 
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
-data errors.  Every construct run self-verifies before writing any file, and
-writes its four files under temporary names first, so they appear all or
-none.
+data errors and on running out of memory.  Every construct run
+self-verifies before writing any file, and writes its four files under
+temporary names first, so they appear all or none.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import sys
 from .field import FieldError, field_for_prime_power
 from .ooc import (OocError, VerificationError, build_ooc, johnson_bound,
                   oos_from_dict, oos_to_dict, optimality_ratio, params_table,
-                  read_ooc_text, support, verify_oos, write_json,
-                  write_ooc_text)
+                  read_ooc_text, verify_oos, write_json, write_ooc_text)
 from .subspaces import SubspaceError, code_from_dict, construct_g
 
 
@@ -61,9 +60,9 @@ def _cmd_construct(args):
               file=sys.stderr)
         return 1
 
-    sets = [support(cw) for cw in ooc.codewords]
     _write_all(args.out, [(write_ooc_text, ooc, ".ooc"),
-                          (write_json, oos_to_dict(sets), ".oos.json"),
+                          (write_json, oos_to_dict(ooc.codewords),
+                           ".oos.json"),
                           (write_json, code.to_dict(), ".code.json"),
                           (write_json, report.to_dict(), ".report.json")])
 
@@ -83,8 +82,7 @@ def _load_sets(path):
     if head == "{":
         with open(path) as f:
             return oos_from_dict(json.load(f)), None
-    words, lam = read_ooc_text(path)
-    return [support(cw) for cw in words], lam
+    return read_ooc_text(path)
 
 
 def _cmd_verify(args):
@@ -185,6 +183,10 @@ def main(argv=None):
     except (FieldError, SubspaceError, OocError, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory (this {args.command} run needs more "
+              f"memory than is available)", file=sys.stderr)
         return 2
 
 

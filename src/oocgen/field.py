@@ -24,7 +24,6 @@ same (p, e, modulus) are bit-identical.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 
@@ -367,9 +366,6 @@ class ExtensionField:
     def from_code(self, code):
         return FieldElement(self, self.log[code])
 
-    def from_coeffs(self, coeffs):
-        return self.from_code(self._encode([c % self.p for c in coeffs]))
-
     def iter_elements(self):
         """All elements in canonical order: zero, then ascending log index."""
         yield self.zero()
@@ -436,9 +432,6 @@ class ExtensionField:
             "omega_index": self.omega_code,
         }
 
-    def to_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
-
     def __repr__(self):
         return f"ExtensionField(p={self.p}, e={self.e})"
 
@@ -457,7 +450,12 @@ def field_create(p, e, modulus=None, omega_code=None):
 def field_from_descriptor(desc):
     if not isinstance(desc, dict) or not {"p", "e", "modulus"} <= desc.keys():
         raise FieldError("field descriptor needs entries p, e and modulus")
-    return field_create(desc["p"], desc["e"], desc["modulus"],
+    modulus = desc["modulus"]
+    if type(desc["e"]) is not int or not isinstance(modulus, list) or any(
+            type(c) is not int for c in modulus):
+        raise FieldError("field descriptor: 'e' must be an integer and "
+                         "'modulus' a list of integers")
+    return field_create(desc["p"], desc["e"], modulus,
                         desc.get("omega_index"))
 
 

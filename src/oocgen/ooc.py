@@ -1,8 +1,9 @@
 """Optical orthogonal codes: index sets, correlation checks and bounds.
 
 The translation layer maps field subsets to subsets of Z_N through discrete
-logs and binary words to their supports.  Correlation maxima are read off
-one cyclic difference count per pair of index sets, exactly.  The field-side
+logs.  A codeword is its support, an IndexSet; the binary word is only how
+the bits file prints it.  Correlation maxima are read off one cyclic
+difference count per pair of index sets, exactly.  The field-side
 conditions are checked through code-level polynomial multiplication, fully
 independent of the exp/log tables, so the two verdicts cross-validate each
 other.
@@ -31,7 +32,7 @@ class VerificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# index sets and codewords
+# index sets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -42,10 +43,10 @@ class IndexSet:
     members: frozenset
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise OocError(f"modulus must be a positive integer, "
                            f"got {self.n!r}")
-        if any(not isinstance(a, int) or not 0 <= a < self.n
+        if any(type(a) is not int or not 0 <= a < self.n
                for a in self.members):
             raise OocError("index set member out of range")
 
@@ -53,28 +54,16 @@ class IndexSet:
         return sorted(self.members)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A binary word of length n with cached weight."""
-
-    n: int
-    bits: tuple
-
-    @property
-    def weight(self):
-        return sum(self.bits)
-
-
-def support(x):
-    """theta(x): the set of positions where the bit is 1."""
-    return IndexSet(x.n, frozenset(i for i, b in enumerate(x.bits) if b))
+def support(X):
+    """A codeword is its support, so this returns X.  It goes when the
+    benchmark stops importing it (ROADMAP item 3)."""
+    return X
 
 
 def unsupport(X, n):
-    """theta^{-1}: the binary word with ones exactly on X."""
-    if any(a >= n for a in X.members):
-        raise OocError("index set does not fit in length n")
-    return Codeword(n, tuple(1 if i in X.members else 0 for i in range(n)))
+    """X as a codeword of length n (OocError if X does not fit).  It goes
+    when the benchmark stops importing it (ROADMAP item 3)."""
+    return IndexSet(n, X.members)
 
 
 def s_of_w(fld, W):
@@ -257,6 +246,8 @@ class OocParams:
 
 @dataclass
 class OocCode:
+    """A verified OOC; each codeword is an IndexSet, its support."""
+
     n: int
     w: int
     lam: int
@@ -285,10 +276,9 @@ def build_ooc(code):
     report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)
-    codewords = tuple(unsupport(X, n) for X in sets)
     params = OocParams(n, w, lam, size, johnson_bound(n, w, lam),
                        optimality_ratio(size, n, w, lam))
-    return OocCode(n, w, lam, codewords), params, report
+    return OocCode(n, w, lam, tuple(sets)), params, report
 
 
 def params_table(specs):
@@ -318,21 +308,25 @@ def params_table(specs):
 # ---------------------------------------------------------------------------
 
 def write_ooc_text(ooc, path):
+    """Write the bits format: one line per codeword, a 1 at each member."""
     with open(path, "w") as f:
         f.write(f"# n={ooc.n} w={ooc.w} lambda={ooc.lam} "
                 f"size={len(ooc.codewords)}\n")
-        for cw in ooc.codewords:
-            f.write("".join(map(str, cw.bits)) + "\n")
+        for X in ooc.codewords:
+            line = bytearray(b"0" * X.n)
+            for a in X.members:
+                line[a] = ord("1")
+            f.write(line.decode() + "\n")
 
 
 def read_ooc_text(path):
-    """Parse the bits format; returns (codewords, declared lam or None).
+    """Parse the bits format; returns (index sets, declared lam or None).
 
     The header's n=, w=, size= and lambda= entries must be integers, and a
     declared n, w or size must be the codewords' length, weight or number.
     """
     header = {}
-    words = []
+    sets = []
     with open(path) as f:
         for line in f:
             line = line.strip()
@@ -350,18 +344,19 @@ def read_ooc_text(path):
                 continue
             if set(line) - {"0", "1"}:
                 raise OocError(f"invalid codeword line: {line[:40]!r}")
-            words.append(Codeword(len(line), tuple(map(int, line))))
-    if not words:
+            sets.append(IndexSet(len(line), frozenset(
+                i for i, b in enumerate(line) if b == "1")))
+    if not sets:
         raise OocError("no codewords in file")
-    if len({cw.n for cw in words}) != 1:
+    if len({X.n for X in sets}) != 1:
         raise OocError("codewords have mixed lengths")
-    for key, actual, what in (("n", words[0].n, "codeword length"),
-                              ("w", words[0].weight, "codeword weight"),
-                              ("size", len(words), "number of codewords")):
+    for key, actual, what in (("n", sets[0].n, "codeword length"),
+                              ("w", len(sets[0].members), "codeword weight"),
+                              ("size", len(sets), "number of codewords")):
         if header.get(key, actual) != actual:
             raise OocError(f"bits header declares {key}={header[key]} but "
                            f"the {what} is {actual}")
-    return words, header.get("lambda")
+    return sets, header.get("lambda")
 
 
 def oos_to_dict(sets):
@@ -379,7 +374,10 @@ def oos_from_dict(d):
             isinstance(s, list) and all(type(a) is int for a in s)
             for s in sets):
         raise OocError("OOS file: 'sets' must be a list of integer lists")
-    return [IndexSet(d["n"], frozenset(s)) for s in sets]
+    try:
+        return [IndexSet(d["n"], frozenset(s)) for s in sets]
+    except OocError as exc:
+        raise OocError(f"OOS file: {exc}") from None
 
 
 def write_json(obj, path):

@@ -10,6 +10,11 @@ from oocgen import (CyclicSubspaceCode, build_ooc, code_min_distance,
 from oocgen.field import find_irreducible_factor
 
 
+def bits(X):
+    """The binary word of an index set: the 0/1 tuple of length X.n."""
+    return tuple(1 if i in X.members else 0 for i in range(X.n))
+
+
 def bit_corr(xbits, ybits, tau):
     """Definition-level correlation sum: sum_t x_t * y_{t+tau} (cyclic)."""
     n = len(xbits)

@@ -11,7 +11,7 @@ from oocgen import (CyclicSubspaceCode, check_field_conditions,
                     code_min_distance, construct_g, construct_w,
                     field_create, gaussian_binomial, is_sidon, orbit_size,
                     s_of_w, shift, span, verify_oos)
-from conftest import bit_level_ooc_ok
+from conftest import bit_level_ooc_ok, bits
 
 
 def _report(name, detail):
@@ -27,7 +27,7 @@ def test_criterion_1_pipeline_q3():
     assert params.size == 4
     assert report.passed
     assert max(report.max_auto, report.max_cross) <= 3
-    words = [cw.bits for cw in ooc.codewords]
+    words = [bits(cw) for cw in ooc.codewords]
     assert bit_level_ooc_ok(words, 3)
     elapsed = time.monotonic() - start
     assert elapsed < 10
@@ -145,8 +145,7 @@ def test_criterion_7_negative_controls(pipeline_q3):
     assert wit["value"] == 4
     # (c) lowering lambda by one flips the q=3 pipeline to fail with value 3
     _, ooc, _, _ = pipeline_q3
-    from oocgen import support
-    report = verify_oos([support(cw) for cw in ooc.codewords], 2)
+    report = verify_oos(ooc.codewords, 2)
     assert not report.passed
     assert max(report.max_auto, report.max_cross) == 3
     assert any(w["value"] == 3 for w in report.witnesses)

@@ -81,7 +81,8 @@ def test_verify_oos_without_lambda_is_usage_error(q3_run):
 
 
 @pytest.mark.parametrize("blob", [{"sets": [[0, 1]]}, {"n": 7},
-                                  {"n": 7, "sets": [3]}])
+                                  {"n": 7, "sets": [3]},
+                                  {"n": True, "sets": [[0]]}])
 def test_verify_oos_missing_or_bad_key_is_data_error(tmp_path, capsys, blob):
     path = tmp_path / "bad.oos.json"
     path.write_text(json.dumps(blob))
@@ -252,6 +253,20 @@ def test_construct_code_file_missing_key_is_data_error(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("e", "2"), ("modulus", 7),
+                                       ("modulus", ["2", "2", "1"])])
+def test_construct_code_file_bad_field_entry_is_data_error(tmp_path, capsys,
+                                                          key, value):
+    code = _sidon_code_dict()
+    code["field"][key] = value
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["construct", "--code", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "field descriptor" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_construct_code_file_index_out_of_range_is_data_error(tmp_path):
     code = _sidon_code_dict()
     code["orbits"][0]["basis"][0] = 999  # F_64 has log indices -1..62
@@ -288,6 +303,16 @@ def test_table_command(capsys):
     for spec in ["2,2", "3,1", "6,2"]:  # outside construct_g's domain
         assert main(["table", "3,2", spec]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_out_of_memory_is_data_error(monkeypatch, capsys):
+    def exhausted(q, m):
+        raise MemoryError
+    monkeypatch.setattr(cli, "field_for_prime_power", exhausted)
+    assert main(["field-info", "--q", "3", "--m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory (")
 
 
 def test_field_info(capsys):

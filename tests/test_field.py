@@ -265,7 +265,7 @@ def test_gaussian_binomial_vs_enumeration():
 
 def test_descriptor_roundtrip_bit_exact():
     f = field_create(5, 4)
-    desc = json.loads(f.to_json())
+    desc = json.loads(json.dumps(f.descriptor()))
     g = field_from_descriptor(desc)
     assert g.exp == f.exp
     assert g.log == f.log

@@ -5,40 +5,47 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oocgen import (Codeword, IndexSet, OocError, autocorr_max, build_ooc,
+from oocgen import (IndexSet, OocCode, OocError, autocorr_max, build_ooc,
                     check_field_conditions, construct_g, crosscorr_max,
                     difference_counts, field_create, johnson_bound, optimality_ratio,
-                    params_table, s_of_w, shift, support, unsupport,
-                    verify_oos)
+                    params_table, s_of_w, shift, verify_oos)
 from oocgen import subspaces
+from oocgen.ooc import read_ooc_text, unsupport, write_ooc_text
 from oocgen.subspaces import _product_counts
-from conftest import bit_corr, bit_level_ooc_ok, pair_difference_counts
+from conftest import bit_corr, bit_level_ooc_ok, bits, pair_difference_counts
 
 
 F81 = field_create(3, 4)
 
 
 # ---------------------------------------------------------------------------
-# support bijection and S(W)
+# index sets, the bits file and S(W)
 # ---------------------------------------------------------------------------
 
-def test_support_basic():
-    x = Codeword(4, (1, 0, 1, 0))
-    assert support(x).members == {0, 2}
-    assert x.weight == 2
+@st.composite
+def _family(draw):
+    n = draw(st.integers(1, 24))
+    w = draw(st.integers(0, n))
+    word = st.frozensets(st.integers(0, n - 1), min_size=w, max_size=w)
+    sets = draw(st.lists(word.map(lambda m: IndexSet(n, m)), min_size=1,
+                         max_size=5))
+    return OocCode(n, w, draw(st.integers(0, w)), tuple(sets))
 
 
-def test_support_unsupport_roundtrip():
-    rng = random.Random(5)
-    for _ in range(30):
-        bits = tuple(rng.randint(0, 1) for _ in range(12))
-        x = Codeword(12, bits)
-        assert unsupport(support(x), 12) == x
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_family())
+def test_bits_file_roundtrip(tmp_path, ooc):
+    path = tmp_path / "x.ooc"
+    write_ooc_text(ooc, path)
+    assert read_ooc_text(path) == (list(ooc.codewords), ooc.lam)
+    lines = path.read_text().splitlines()[1:]
+    assert lines == ["".join(map(str, bits(X))) for X in ooc.codewords]
 
 
-@pytest.mark.parametrize("n,members", [(0, set()), (5, {1.5}), (5, {-1})])
+@pytest.mark.parametrize("n,members", [(0, set()), (5, {1.5}), (5, {-1}),
+                                       (True, {0}), (5, {True})])
 def test_index_set_rejects_bad_modulus_or_member(n, members):
     with pytest.raises(OocError):
         IndexSet(n, frozenset(members))
@@ -102,7 +109,7 @@ def test_crosscorr_singletons():
 
 def test_crosscorr_example_z5_vs_bit_oracle():
     X, Y = IndexSet(5, frozenset({0, 1})), IndexSet(5, frozenset({0, 2}))
-    xb, yb = unsupport(X, 5).bits, unsupport(Y, 5).bits
+    xb, yb = bits(X), bits(Y)
     oracle = max(bit_corr(xb, yb, tau) for tau in range(5))
     assert crosscorr_max(X, Y)[0] == oracle
 
@@ -133,7 +140,7 @@ def _set_pair(draw):
 def test_difference_counts_match_bit_oracle(pair):
     X, Y = pair
     n = X.n
-    xb, yb = unsupport(X, n).bits, unsupport(Y, n).bits
+    xb, yb = bits(X), bits(Y)
     # sum_t y_t x_{t+tau} = #{t in Y : t + tau in X} = |X ∩ (Y + tau)|
     cross = [bit_corr(yb, xb, tau) for tau in range(n)]
     assert difference_counts(X.members, Y.members, n) == cross
@@ -263,7 +270,7 @@ def test_verify_matches_bit_level_oracle():
             if all(X.members != Y.members for Y in sets):
                 sets.append(X)
         lam = rng.randrange(1, w + 1)
-        words = [unsupport(X, n).bits for X in sets]
+        words = [bits(X) for X in sets]
         assert verify_oos(sets, lam).passed == bit_level_ooc_ok(words, lam)
 
 
@@ -272,7 +279,7 @@ def test_verify_dense_family_matches_bit_level_oracle():
     rng = random.Random(15)
     n, w = 400, 100
     sets = [IndexSet(n, frozenset(rng.sample(range(n), w))) for _ in range(4)]
-    words = [unsupport(X, n).bits for X in sets]
+    words = [bits(X) for X in sets]
     report = verify_oos(sets, w)
     worst = max(report.max_auto, report.max_cross)
     for wit in report.witnesses:
@@ -378,18 +385,18 @@ def test_build_ooc_q3_values(pipeline_q3):
     assert report.passed
     assert params.size <= params.johnson
     # weight law: every codeword has weight exactly q^k
-    assert all(cw.weight == 9 for cw in ooc.codewords)
+    assert all(len(cw.members) == 9 for cw in ooc.codewords)
 
 
 def test_autocorrelation_at_tau0_equals_weight(pipeline_q3):
     _, ooc, _, _ = pipeline_q3
     for cw in ooc.codewords:
-        assert bit_corr(cw.bits, cw.bits, 0) == ooc.w
+        assert bit_corr(bits(cw), bits(cw), 0) == ooc.w
 
 
 def test_build_ooc_q3_bit_oracle(pipeline_q3):
     _, ooc, params, _ = pipeline_q3
-    words = [cw.bits for cw in ooc.codewords]
+    words = [bits(cw) for cw in ooc.codewords]
     assert bit_level_ooc_ok(words, params.lam)
     assert not bit_level_ooc_ok(words, params.lam - 1)
 

@@ -1,29 +1,49 @@
 """Whole-package properties: import footprint and python -O safety."""
 
 import ast
+import hashlib
 import os
 import pathlib
 import subprocess
 import sys
 
 import oocgen
+from test_golden import ARTEFACTS, GOLDEN
 
 SRC = pathlib.Path(oocgen.__file__).parent
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_import_loads_no_sympy_or_numpy():
     # numpy alone roughly doubles a bare interpreter's peak RSS, so the
     # kernels stay pure Python
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, oocgen, oocgen.cli; "
          "print(sorted(m for m in sys.modules "
          "if m.split('.')[0] in ('sympy', 'numpy')))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_under_python_O_writes_golden_files(tmp_path):
+    # python -O strips assert; the construct and verify runs must not
+    # depend on one
+    cli = [sys.executable, "-O", "-c", "from oocgen.cli import run; run()"]
+    subprocess.run(cli + ["construct", "--q", "3", "--k", "2", "--s", "1"],
+                   cwd=tmp_path, env=_env(), capture_output=True, check=True)
+    digests = [hashlib.sha256((tmp_path / f"ooc_out.{a}").read_bytes())
+               .hexdigest() for a in ARTEFACTS]
+    assert digests == GOLDEN[(3, 2)]
+    verify = subprocess.run(cli + ["verify", "ooc_out.ooc"], cwd=tmp_path,
+                            env=_env(), capture_output=True)
+    assert verify.returncode == 0
 
 
 def test_no_assert_statements_in_package():

@@ -38,8 +38,8 @@ def test_span_two_independent():
     assert U.dim == 2
     assert len(U.span_idx) == 9
     # oracle: enumerate all 9 F_3-combinations directly
-    combos = {(F81.from_coeffs([a]) * F81.one()
-               + F81.from_coeffs([b]) * F81.omega).idx
+    combos = {(F81.from_code(a) * F81.one()
+               + F81.from_code(b) * F81.omega).idx
               for a in range(3) for b in range(3)}
     assert combos == U.span_idx
 
