@@ -12,7 +12,7 @@ from oocgen import (IndexSet, OocCode, OocError, autocorr_max, build_ooc,
                     difference_counts, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, shift, verify_oos)
 from oocgen import subspaces
-from oocgen.ooc import read_ooc_text, unsupport, write_ooc_text
+from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _product_counts
 from conftest import bit_corr, bit_level_ooc_ok, bits, pair_difference_counts
 
@@ -42,6 +42,21 @@ def test_bits_file_roundtrip(tmp_path, ooc):
     assert read_ooc_text(path) == (list(ooc.codewords), ooc.lam)
     lines = path.read_text().splitlines()[1:]
     assert lines == ["".join(map(str, bits(X))) for X in ooc.codewords]
+
+
+def test_support_basic():
+    X = IndexSet(4, frozenset({0, 2}))
+    assert bits(support(X)) == (1, 0, 1, 0)
+    assert support(X).members == {0, 2}
+    assert len(support(X).members) == 2
+
+
+def test_support_unsupport_roundtrip():
+    rng = random.Random(5)
+    for _ in range(30):
+        X = IndexSet(12, frozenset(i for i in range(12) if rng.randint(0, 1)))
+        assert unsupport(support(X), 12) == X
+        assert bits(unsupport(X, 12)) == bits(X)
 
 
 @pytest.mark.parametrize("n,members", [(0, set()), (5, {1.5}), (5, {-1}),
