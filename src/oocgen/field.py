@@ -441,7 +441,7 @@ _FIELD_CACHE = {}
 
 def field_create(p, e, modulus=None, omega_code=None):
     """Build (or fetch a cached) F_{p^e} with canonical deterministic tables."""
-    key = (p, e, tuple(modulus) if modulus else None, omega_code)
+    key = (p, e, None if modulus is None else tuple(modulus), omega_code)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = ExtensionField(p, e, modulus, omega_code)
     return _FIELD_CACHE[key]
@@ -450,11 +450,15 @@ def field_create(p, e, modulus=None, omega_code=None):
 def field_from_descriptor(desc):
     if not isinstance(desc, dict) or not {"p", "e", "modulus"} <= desc.keys():
         raise FieldError("field descriptor needs entries p, e and modulus")
+    for key in ("p", "e", "omega_index"):
+        if key in desc and type(desc[key]) is not int:
+            raise FieldError(f"field descriptor: {key!r} must be an "
+                             f"integer, got {desc[key]!r}")
     modulus = desc["modulus"]
-    if type(desc["e"]) is not int or not isinstance(modulus, list) or any(
+    if not isinstance(modulus, list) or any(
             type(c) is not int for c in modulus):
-        raise FieldError("field descriptor: 'e' must be an integer and "
-                         "'modulus' a list of integers")
+        raise FieldError("field descriptor: 'modulus' must be a list of "
+                         "integers")
     return field_create(desc["p"], desc["e"], modulus,
                         desc.get("omega_index"))
 

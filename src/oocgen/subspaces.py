@@ -19,8 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .field import (ExtensionField, factor_prime_power, field_from_descriptor,
-                    field_for_prime_power)
+from .field import (ExtensionField, FieldElement, factor_prime_power,
+                    field_from_descriptor, field_for_prime_power)
 
 
 class SubspaceError(ValueError):
@@ -111,12 +111,6 @@ class Subspace:
             raise SubspaceError(f"span of size {len(self.span_idx)} does "
                                 f"not match dimension {self.dim} over "
                                 f"F_{ground_q}")
-
-    def contains(self, x):
-        return x.idx in self.span_idx
-
-    def members(self):
-        return [self.field.from_idx(i) for i in sorted(self.span_idx)]
 
     def scale(self, alpha):
         """The subspace alpha*U for nonzero alpha."""
@@ -329,9 +323,6 @@ def code_min_distance(code):
     sweep of alpha against fixed representatives is exact.
     """
     reps = code.representatives
-    if len(reps) == 1 and orbit_size(reps[0]) < 2:
-        raise SubspaceError("minimum distance of a single-subspace code "
-                            "is undefined")
     q, N = code.ground_q, code.field.N
     best = None
     for i in range(len(reps)):
@@ -344,6 +335,9 @@ def code_min_distance(code):
                 d = reps[i].dim + reps[j].dim - 2 * _log_exact(1 + v, q)
                 if best is None or d < best:
                     best = d
+    if best is None:  # one orbit of size 1: no pair of distinct codewords
+        raise SubspaceError("minimum distance of a single-subspace code "
+                            "is undefined")
     return best
 
 
@@ -454,42 +448,48 @@ def construct_g(q, k, s):
 # affine coset families
 # ---------------------------------------------------------------------------
 
-def coset_representatives(U):
-    """Pairwise non-F_q-proportional representatives of F_{q^m}/U.
+def _coset_scan(U):
+    """Yield (a, log indices of omega^a + U) for each coset representative
+    omega^a of F_{q^m}/U: the uncovered a in ascending order, t of them.
 
-    One covering scan in canonical element order: omega^a becomes the next
-    representative unless an earlier one already covers it, and then all of
-    F_q^* omega^a + U is marked covered.  Returns exactly
-    t = (q^{m-k} - 1)/(q - 1) elements, none in U, no two of which differ by
-    an F_q-multiple modulo U.
+    omega^a + U is a and a + zech[u - a] for the nonzero span indices u.
+    U is F_q-linear, so lam(omega^a + U) = lam omega^a + U: shifting the
+    coset by each log index of F_q^* marks every F_q-multiple covered.
     """
-    f, q = U.field, U.ground_q
+    f, q, N = U.field, U.ground_q, U.field.N
     m = _log_exact(f.order, q)
     if U.dim >= m:
         raise SubspaceError("U must be a proper subspace")
     t = (q ** (m - U.dim) - 1) // (q - 1)
-    units = f.subfield(q).nonzero_elements()
-    members = U.members()
-    covered = bytearray(f.N)
-    for i in U.span_idx:
-        if i >= 0:
-            covered[i] = 1
-    reps = []
-    for a in range(f.N):
+    span_nz = _nonzero(U)
+    units = _ground_unit_indices(f, q)
+    zech = f.zech
+    covered = bytearray(N)
+    for i in span_nz:
+        covered[i] = 1
+    found = 0
+    for a in range(N):
         if covered[a]:
             continue
-        d = f.from_idx(a)
-        reps.append(d)
-        if len(reps) == t:
-            break
-        for lam in units:
-            ld = lam * d
-            for u in members:  # d is outside U, so ld + u is never zero
-                covered[(ld + u).idx] = 1
-    if len(reps) != t:
-        raise SubspaceError(f"expected {t} coset representatives, "
-                            f"got {len(reps)}")
-    return reps
+        z = [zech[i - a] for i in span_nz]  # i - a < 0 indexes from the end
+        if -1 in z:
+            raise SubspaceError("a coset representative lies in U")
+        coset = [a] + [(a + j) % N for j in z]
+        yield a, coset
+        found += 1
+        if found == t:
+            return
+        for s in units:
+            for j in coset:
+                covered[(j + s) % N] = 1
+    raise SubspaceError(f"expected {t} coset representatives, got {found}")
+
+
+def coset_representatives(U):
+    """Pairwise non-F_q-proportional representatives of F_{q^m}/U, from the
+    log-domain covering scan: exactly t = (q^{m-k} - 1)/(q - 1) elements,
+    none in U, no two of which differ by an F_q-multiple modulo U."""
+    return [U.field.from_idx(a) for a, _ in _coset_scan(U)]
 
 
 @dataclass
@@ -506,19 +506,16 @@ class CosetFamily:
 
 
 def build_coset_family(code):
+    """The cosets U_i + d of every representative U_i, each d from one
+    log-domain covering scan, as sorted tuples of field elements."""
     if not code.orbits_disjoint():
         raise SubspaceError("code orbits are not pairwise disjoint")
+    f = code.field
     entries = []
     cosets = []
-    t = None
     for i, U in enumerate(code.representatives):
-        reps = coset_representatives(U)
-        t = len(reps)
-        for d in reps:
-            entries.append((i, d))
-            coset = tuple(sorted((u + d for u in U.members()),
-                                 key=lambda x: x.idx))
-            if any(x.is_zero() for x in coset):
-                raise SubspaceError("a coset representative lies in U")
-            cosets.append(coset)
+        for a, coset in _coset_scan(U):
+            entries.append((i, FieldElement(f, a)))
+            cosets.append(tuple([FieldElement(f, j) for j in sorted(coset)]))
+    t = len(entries) // len(code.representatives)
     return CosetFamily(code, tuple(entries), tuple(cosets), t)

@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
-from oocgen import (CyclicSubspaceCode, build_ooc, code_min_distance,
-                    construct_g, field_create, is_sidon, span)
+from oocgen import (CosetFamily, CyclicSubspaceCode, build_ooc,
+                    code_min_distance, construct_g, field_create, is_sidon,
+                    span)
 from oocgen.field import find_irreducible_factor
 
 
@@ -174,6 +175,20 @@ def greedy_coset_representatives(U):
         if len(reps) == t:
             break
     return reps
+
+
+def field_coset_family(code):
+    """Oracle for build_coset_family: each U_i's greedy representatives d
+    and each coset as sorted(u + d for u in U_i) by field addition."""
+    entries, cosets = [], []
+    for i, U in enumerate(code.representatives):
+        reps = greedy_coset_representatives(U)
+        members = [U.field.from_idx(x) for x in U.span_idx]
+        for d in reps:
+            entries.append((i, d))
+            cosets.append(tuple(sorted((u + d for u in members),
+                                       key=lambda x: x.idx)))
+    return CosetFamily(code, tuple(entries), tuple(cosets), len(reps))
 
 
 def canonical_sidon_f64():

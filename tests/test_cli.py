@@ -254,7 +254,9 @@ def test_construct_code_file_missing_key_is_data_error(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("key,value", [("e", "2"), ("modulus", 7),
-                                       ("modulus", ["2", "2", "1"])])
+                                       ("modulus", ["2", "2", "1"]),
+                                       ("omega_index", "2"),
+                                       ("omega_index", True), ("p", "2")])
 def test_construct_code_file_bad_field_entry_is_data_error(tmp_path, capsys,
                                                           key, value):
     code = _sidon_code_dict()

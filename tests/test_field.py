@@ -272,6 +272,13 @@ def test_descriptor_roundtrip_bit_exact():
     assert g.modulus == f.modulus
 
 
+def test_empty_modulus_is_rejected_after_the_canonical_field_is_cached():
+    # [] must not share the cache entry of modulus=None (the canonical field)
+    field_create(2, 2)
+    with pytest.raises(FieldError, match="monic of degree 2"):
+        field_from_descriptor({"p": 2, "e": 2, "modulus": []})
+
+
 def test_prime_power_field():
     f = field_for_prime_power(4, 2)  # F_16 as F_2^4
     assert (f.p, f.e) == (2, 4)

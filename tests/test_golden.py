@@ -6,9 +6,11 @@ reproduce them exactly.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from oocgen import build_coset_family, construct_g, s_of_w
 from oocgen.cli import main
 
 ARTEFACTS = ("ooc", "oos.json", "code.json", "report.json")
@@ -55,3 +57,16 @@ def test_construct_artefacts_match_golden_hashes(tmp_path, q, k):
     hashes = [hashlib.sha256((tmp_path / f"out.{e}").read_bytes()).hexdigest()
               for e in ARTEFACTS]
     assert hashes == GOLDEN[(q, k)]
+
+
+# sha256 of json.dumps([X.sorted() for X in sets]) for the S(W) sets of
+# construct_g(3, 5, 1)'s coset family: the design workload's members hash
+DESIGN_Q3K5_MEMBERS = (
+    "daa18a246a967cb31a746a8d76074d048b22816452990d3e7a59248a7d657c22")
+
+
+def test_design_q3k5_members_hash():
+    code = construct_g(3, 5, 1)
+    sets = [s_of_w(code.field, W) for W in build_coset_family(code).cosets]
+    members = json.dumps([X.sorted() for X in sets]).encode()
+    assert hashlib.sha256(members).hexdigest() == DESIGN_Q3K5_MEMBERS

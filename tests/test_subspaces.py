@@ -11,9 +11,10 @@ from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     coset_representatives, dim_intersection, field_create,
                     gaussian_binomial, is_multi_sidon, is_sidon, orbit,
                     orbit_size, span, subspace_distance, validate_multi_orbit)
-from oocgen.subspaces import _log_exact
-from conftest import (canonical_sidon_f64, greedy_coset_representatives,
-                      rank_dim_intersection)
+from oocgen import subspaces
+from oocgen.subspaces import _log_exact, difference_counts
+from conftest import (canonical_sidon_f64, field_coset_family,
+                      greedy_coset_representatives, rank_dim_intersection)
 
 
 F81 = field_create(3, 4)
@@ -238,6 +239,23 @@ def test_min_distance_of_g_codes(pipeline_q3, pipeline_q5):
     assert pipeline_q5[0].min_distance == 2
 
 
+def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
+                                                       pipeline_q3,
+                                                       pipeline_q5):
+    calls = []
+
+    def counting(X, Y, n):
+        calls.append(n)
+        return difference_counts(X, Y, n)
+
+    monkeypatch.setattr(subspaces, "difference_counts", counting)
+    for code in (pipeline_q3[0], pipeline_q5[0]):
+        r = len(code.representatives)
+        calls.clear()
+        assert code_min_distance(code) == code.min_distance
+        assert len(calls) == r * (r + 1) // 2  # 1 for q = 3, 3 for q = 5
+
+
 def test_min_distance_single_subspace_rejected():
     U = span(F81, [F81.from_idx(i) for i in range(80)], 3)
     with pytest.raises(SubspaceError):
@@ -435,6 +453,46 @@ def test_coset_representatives_match_greedy_oracle(case, pipeline_q3,
     }[case]()
     for U in spaces:
         assert coset_representatives(U) == greedy_coset_representatives(U)
+
+
+def _family_codes(case):
+    if case in ("q3k2", "q5k2"):
+        return [construct_g(3 if case == "q3k2" else 5, 2, 1)]
+    if case == "sidon_f64":
+        U = canonical_sidon_f64()
+        return [CyclicSubspaceCode(U.field, 2, (U,))]
+    return [CyclicSubspaceCode(U.field, U.ground_q, (U,)) for U in (
+        _random_subspace(3, 4, 3, 2, 5), _random_subspace(3, 4, 9, 1, 6),
+        _random_subspace(2, 6, 2, 2, 7))]
+
+
+FAMILY_CASES = ["q3k2", "q5k2", "sidon_f64", "random"]
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_coset_family_matches_field_oracle(case):
+    for code in _family_codes(case):
+        fam, oracle = build_coset_family(code), field_coset_family(code)
+        assert fam.entries == oracle.entries
+        assert fam.cosets == oracle.cosets
+        assert fam.t == oracle.t
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_coset_family_scalings_partition_nonzero_field(case):
+    # U^* and lam*(U + d) for every representative d and lam in F_q^* are
+    # pairwise disjoint and cover F^* exactly
+    for code in _family_codes(case):
+        f, q = code.field, code.ground_q
+        units = [lam.idx for lam in f.subfield(q).nonzero_elements()]
+        fam = build_coset_family(code)
+        for i, U in enumerate(code.representatives):
+            marked = [x for x in U.span_idx if x >= 0]
+            for (j, _), coset in zip(fam.entries, fam.cosets):
+                if j == i:
+                    marked += [(x.idx + s) % f.N for x in coset
+                               for s in units]
+            assert sorted(marked) == list(range(f.N))
 
 
 def test_coset_family_q3(pipeline_q3):
