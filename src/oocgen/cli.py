@@ -110,7 +110,11 @@ def _cmd_table(args):
     specs = []
     for spec in args.specs:
         q, _, k = spec.partition(",")
-        specs.append((int(q), int(k)))
+        try:
+            specs.append((int(q), int(k)))
+        except ValueError:
+            raise OocError(f"table spec {spec!r} is not of the form q,k "
+                           f"(two integers, e.g. 3,2)") from None
     rows = params_table(specs)
     print(f"{'q':>4} {'k':>3} {'n':>10} {'w':>6} {'lambda':>7} "
           f"{'size':>6} {'johnson':>12} ratio")

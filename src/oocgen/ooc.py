@@ -2,11 +2,13 @@
 
 The translation layer maps field subsets to subsets of Z_N through discrete
 logs.  A codeword is its support, an IndexSet; the binary word is only how
-the bits file prints it.  Correlation maxima are read off one cyclic
-difference count per pair of index sets, exactly.  The field-side
-conditions are checked through code-level polynomial multiplication, fully
-independent of the exp/log tables, so the two verdicts cross-validate each
-other.
+the bits file prints it.  Correlation maxima are exact: one sweep stacks the
+words' doubled indicators in one big integer and adds its shifts into
+bit-sliced counters, which then hold every cyclic count |X_i ∩ (X_j + tau)|
+with i <= j for one word j at a time, in sparse and dense families alike.  The
+field-side conditions are checked through code-level polynomial
+multiplication, fully independent of the exp/log tables, so the two
+verdicts cross-validate each other.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .subspaces import (build_coset_family, check_g_params, code_min_distance,
-                        difference_counts)
+from .subspaces import build_coset_family, check_g_params, code_min_distance
 
 
 class OocError(ValueError):
@@ -80,13 +81,53 @@ def shift(X, tau):
 # correlation maxima
 # ---------------------------------------------------------------------------
 
+def _column_counts(sets, n):
+    """Bit-sliced cyclic difference counts, one column of the family at a
+    time: for each j, the counter planes of word j against words 0..j.
+
+    Word i's doubled indicator x | x << n sits at bit offset 2n·i of one
+    integer B, built up as j grows.  For y in X_j, bits [0, n) of block i of
+    B >> y hold the rotation X_i - y, so adding B >> y over all y in X_j
+    leaves c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the
+    count is that bit of plane k.  Each addition is a ripple carry over the
+    planes that stops once the carry is 0.  Bit positions never interact, so
+    the junk in bits [n, 2n) of a block never reaches [0, n), and no count
+    exceeds |X_j| < 2^d with d the number of planes.  Every column reuses
+    one list of planes, reset in place, so the caller's reference to the
+    last column does not keep its counts alive while the next is counted.
+    """
+    B, planes = 0, []
+    for j, X in enumerate(sets):
+        x = 0
+        for a in X.members:
+            x |= 1 << a
+        B |= (x | x << n) << (2 * n * j)
+        planes[:] = [0] * len(X.members).bit_length()
+        for y in X.members:
+            carry = B >> y
+            for k, P in enumerate(planes):
+                planes[k] = P ^ carry
+                carry &= P
+                if not carry:
+                    break
+        yield planes
+
+
+def _peak(planes, mask):
+    """The largest count at a bit of mask and the lowest bit that holds it
+    (None if mask is 0), by a top-down scan of the planes."""
+    cand, value = mask, 0
+    for k in range(len(planes) - 1, -1, -1):
+        hit = cand & planes[k]
+        if hit:
+            cand, value = hit, value | 1 << k
+    return value, (cand & -cand).bit_length() - 1 if cand else None
+
+
 def autocorr_max(X):
     """Max of |X ∩ (X + tau)| over 0 < tau < n, with the smallest such tau."""
-    if X.n == 1:  # no admissible tau
-        return 0, None
-    c = difference_counts(X.members, X.members, X.n)[1:]
-    best = max(c)
-    return best, c.index(best) + 1
+    planes, = _column_counts([X], X.n)
+    return _peak(planes, (1 << X.n) - 2)
 
 
 def crosscorr_max(X, Y):
@@ -96,9 +137,8 @@ def crosscorr_max(X, Y):
     """
     if X.n != Y.n:
         raise OocError("index sets have different moduli")
-    c = difference_counts(X.members, Y.members, X.n)
-    best = max(c)
-    return best, c.index(best)
+    _, planes = _column_counts([X, Y], X.n)
+    return _peak(planes, (1 << X.n) - 1)
 
 
 @dataclass
@@ -122,9 +162,13 @@ class VerificationReport:
 def verify_oos(sets, lam):
     """Brute-force verification of the OOS conditions at level lam.
 
-    All members must share the modulus and have equal size; the report
-    carries the exact maxima and the first witness of each maximum
-    (smallest tau, then smallest word index pair).
+    All members must share the modulus and have equal size.  The report
+    carries the exact maxima and the first witness of each: the lowest word,
+    or the lowest word pair (i, j) in lexicographic order, that reaches the
+    maximum, then its smallest tau.  One pass of _column_counts gives every
+    count; for column j, one scan over the blocks below j gives its largest
+    cross-correlation and, from the lowest bit holding it, the lowest i and
+    then the smallest tau.
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
@@ -138,19 +182,24 @@ def verify_oos(sets, lam):
         if len(X.members) != w:
             raise OocError(f"sets 0 and {i} have different weights "
                            f"({w} vs {len(X.members)})")
+    low, stride = (1 << n) - 1, 2 * n
+    below = 0  # bits [0, n) of every block before the current one
     max_auto, auto_wit = 0, None
-    for i, X in enumerate(sets):
-        v, tau = autocorr_max(X)
-        if v > max_auto or auto_wit is None:
-            max_auto, auto_wit = v, {"kind": "auto", "word": i, "tau": tau,
-                                     "value": v}
     max_cross, cross_wit = 0, None
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            v, tau = crosscorr_max(sets[i], sets[j])
-            if v > max_cross or cross_wit is None:
+    for j, planes in enumerate(_column_counts(sets, n)):
+        offset = stride * j
+        v, tau = _peak([P >> offset for P in planes], low - 1)
+        if v > max_auto or auto_wit is None:
+            max_auto, auto_wit = v, {"kind": "auto", "word": j, "tau": tau,
+                                     "value": v}
+        if j:
+            v, pos = _peak(planes, below)
+            i, tau = divmod(pos, stride)
+            if (cross_wit is None or v > max_cross
+                    or v == max_cross and i < cross_wit["words"][0]):
                 max_cross, cross_wit = v, {"kind": "cross", "words": [i, j],
                                            "tau": tau, "value": v}
+        below |= low << offset
     witnesses = [wit for wit in (auto_wit, cross_wit) if wit is not None]
     passed = max(max_auto, max_cross) <= lam
     return VerificationReport(max_auto, max_cross, witnesses, passed)
@@ -374,6 +423,9 @@ def oos_from_dict(d):
             isinstance(s, list) and all(type(a) is int for a in s)
             for s in sets):
         raise OocError("OOS file: 'sets' must be a list of integer lists")
+    for i, s in enumerate(sets):
+        if len(set(s)) != len(s):
+            raise OocError(f"OOS file: set {i} repeats a member")
     try:
         return [IndexSet(d["n"], frozenset(s)) for s in sets]
     except OocError as exc:

@@ -8,9 +8,10 @@ indices: |U ∩ alpha V| = 1 + #{(u, v) : u - v = a (mod N)}.
 
 The count, difference_counts, takes one of two routes by input size alone.
 Sparse pairs (|X|·|Y| <= 16·n, every sweep of the construction) loop over
-X x Y.  Dense pairs, such as foreign OOC files with w/n = 1/4, are one
-big-integer product X(z)·Y(z^-1) mod z^n - 1 by Kronecker substitution,
-which costs O(n) however few members the sets have.
+X x Y.  Dense pairs, as in the sweeps over a dense subspace from a --code
+file, are one big-integer product X(z)·Y(z^-1) mod z^n - 1 by Kronecker
+substitution, which costs O(n) however few members the sets have.  OOC
+verification does not use this count; ooc.verify_oos has its own sweep.
 """
 
 from __future__ import annotations

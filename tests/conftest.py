@@ -5,9 +5,9 @@ import itertools
 
 import pytest
 
-from oocgen import (CosetFamily, CyclicSubspaceCode, build_ooc,
-                    code_min_distance, construct_g, field_create, is_sidon,
-                    span)
+from oocgen import (CosetFamily, CyclicSubspaceCode, VerificationReport,
+                    build_ooc, code_min_distance, construct_g, field_create,
+                    is_sidon, span)
 from oocgen.field import find_irreducible_factor
 
 
@@ -29,6 +29,32 @@ def pair_difference_counts(X, Y, n):
         for y in Y:
             c[(x - y) % n] += 1
     return c
+
+
+def pair_verify_oos(sets, lam):
+    """Oracle for verify_oos: one pair-loop difference count per word and
+    per word pair, scanned in word order, then tau order."""
+    n = sets[0].n
+    max_auto, auto_wit = 0, None
+    for i, X in enumerate(sets):
+        c = pair_difference_counts(X.members, X.members, n)[1:]
+        v = max(c, default=0)
+        tau = c.index(v) + 1 if c else None
+        if v > max_auto or auto_wit is None:
+            max_auto, auto_wit = v, {"kind": "auto", "word": i, "tau": tau,
+                                     "value": v}
+    max_cross, cross_wit = 0, None
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            c = pair_difference_counts(sets[i].members, sets[j].members, n)
+            v = max(c)
+            tau = c.index(v)
+            if v > max_cross or cross_wit is None:
+                max_cross, cross_wit = v, {"kind": "cross", "words": [i, j],
+                                           "tau": tau, "value": v}
+    witnesses = [wit for wit in (auto_wit, cross_wit) if wit is not None]
+    return VerificationReport(max_auto, max_cross, witnesses,
+                              max(max_auto, max_cross) <= lam)
 
 
 def bit_level_ooc_ok(words, lam):

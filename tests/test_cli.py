@@ -90,6 +90,17 @@ def test_verify_oos_missing_or_bad_key_is_data_error(tmp_path, capsys, blob):
     assert "OOS file" in capsys.readouterr().err
 
 
+def test_verify_oos_set_with_repeated_member_is_data_error(tmp_path,
+                                                         capsys):
+    # as a frozenset, [0, 0, 1] would silently verify as {0, 1}
+    path = tmp_path / "rep.oos.json"
+    path.write_text(json.dumps({"n": 7, "sets": [[0, 0, 1], [2, 4]]}))
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "OOS file: set 0 repeats a member" in captured.err
+
+
 def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
     # {0, 1, 3} is a (7, 3, 1) difference set, so only the repeat breaks
     # lambda = 1: its cross-correlation at tau = 0 is the weight
@@ -305,6 +316,11 @@ def test_table_command(capsys):
     for spec in ["2,2", "3,1", "6,2"]:  # outside construct_g's domain
         assert main(["table", "3,2", spec]) == 2
         assert capsys.readouterr().out == ""
+    for spec in ["3", "3,", "x,2", "3,2,1"]:  # not of the form q,k
+        assert main(["table", "3,2", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"table spec {spec!r} is not of the form q,k" in captured.err
 
 
 def test_out_of_memory_is_data_error(monkeypatch, capsys):

@@ -11,10 +11,11 @@ from oocgen import (IndexSet, OocCode, OocError, autocorr_max, build_ooc,
                     check_field_conditions, construct_g, crosscorr_max,
                     difference_counts, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, shift, verify_oos)
-from oocgen import subspaces
+from oocgen import ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _product_counts
-from conftest import bit_corr, bit_level_ooc_ok, bits, pair_difference_counts
+from conftest import (bit_corr, bit_level_ooc_ok, bits, pair_difference_counts,
+                      pair_verify_oos)
 
 
 F81 = field_create(3, 4)
@@ -290,7 +291,7 @@ def test_verify_matches_bit_level_oracle():
 
 
 def test_verify_dense_family_matches_bit_level_oracle():
-    # w^2 = 10000 > 16n, so every count takes the product route
+    # w/n = 1/4: a dense family, seven counter planes
     rng = random.Random(15)
     n, w = 400, 100
     sets = [IndexSet(n, frozenset(rng.sample(range(n), w))) for _ in range(4)]
@@ -304,6 +305,74 @@ def test_verify_dense_family_matches_bit_level_oracle():
     assert verify_oos(sets, worst).passed and bit_level_ooc_ok(words, worst)
     assert not verify_oos(sets, worst - 1).passed
     assert not bit_level_ooc_ok(words, worst - 1)
+
+
+def _assert_same_report_as_pair_loop(sets, lam):
+    report = verify_oos(sets, lam)
+    assert report.to_dict() == pair_verify_oos(sets, lam).to_dict()
+    words = [bits(X) for X in sets]
+    for wit in report.witnesses:
+        x, y = ((wit["word"],) * 2 if wit["kind"] == "auto"
+                else wit["words"])
+        if wit["tau"] is None:  # n = 1 has no auto-correlation shift
+            assert sets[0].n == 1 and wit["value"] == 0
+            continue
+        # sum_t y_t x_{t+tau} = |X ∩ (Y + tau)|
+        assert bit_corr(words[y], words[x], wit["tau"]) == wit["value"]
+
+
+@st.composite
+def _oos_family(draw):
+    code = draw(_family())
+    sets = list(code.codewords)
+    if draw(st.booleans()):  # a repeated word
+        sets.insert(draw(st.integers(0, len(sets))),
+                    draw(st.sampled_from(sets)))
+    return sets, code.lam
+
+
+@given(_oos_family())
+def test_verify_oos_matches_pair_loop_oracle(family):
+    _assert_same_report_as_pair_loop(*family)
+
+
+@pytest.mark.parametrize("n,words,lam", [
+    (1, [{0}], 0),                              # n = 1: no auto shift
+    (1, [{0}, {0}], 1),
+    (1, [set(), set()], 0),                     # w = 0 at n = 1
+    (9, [set(), set(), set()], 0),              # w = 0: every count is 0
+    (7, [{0}, {5}, {0}], 1),                    # repeated word
+    (12, [{0, 6}, {1, 7}, {2, 8}, {3, 9}], 1),  # ties across pairs and tau
+    (13, [{0, 1}, {0, 5}, {4, 9}, {3, 4}], 1),  # (0, 3) ties (1, 2) later
+    (300, [range(256), range(44, 300),          # w = 256: nine planes
+           [*range(10), *range(54, 300)]], 255),
+    (300, [range(1, 300), range(299)], 299),    # w = 299, near full
+])
+def test_verify_oos_edge_families_match_pair_loop(n, words, lam):
+    sets = [IndexSet(n, frozenset(m)) for m in words]
+    _assert_same_report_as_pair_loop(sets, lam)
+
+
+def test_verify_oos_witness_is_lowest_pair_then_smallest_tau():
+    # pair (0, 2) reaches 1 at tau = 0, but the lower pair (0, 1) reaches
+    # it too, at tau = 2
+    sets = [IndexSet(7, frozenset(m)) for m in ({0}, {5}, {0})]
+    cross = verify_oos(sets, 1).witnesses[1]
+    assert cross == {"kind": "cross", "words": [0, 1], "tau": 2, "value": 1}
+
+
+def test_verify_oos_counts_without_difference_counts(monkeypatch):
+    def boom(*args):
+        raise AssertionError("verify_oos called a pair kernel")
+
+    monkeypatch.setattr(subspaces, "difference_counts", boom)
+    monkeypatch.setattr(subspaces, "_product_counts", boom)
+    assert "difference_counts" not in vars(ooc)
+    rng = random.Random(16)
+    for n, w in [(2400, 49), (400, 100)]:  # sparse and dense families
+        sets = [IndexSet(n, frozenset(rng.sample(range(n), w)))
+                for _ in range(3)]
+        _assert_same_report_as_pair_loop(sets, w)
 
 
 # ---------------------------------------------------------------------------
