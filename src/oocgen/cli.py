@@ -76,9 +76,12 @@ def _cmd_construct(args):
 
 
 def _load_sets(path):
-    """Read an OOC bits file or an OOS JSON file; returns (sets, lam)."""
+    """Read an OOC bits file or an OOS JSON file; returns (sets, lam).
+
+    The first non-whitespace character picks the format: "{" for JSON.
+    """
     with open(path) as f:
-        head = f.read(1)
+        head = next((line.lstrip()[:1] for line in f if line.strip()), "")
     if head == "{":
         with open(path) as f:
             return oos_from_dict(json.load(f)), None

@@ -6,7 +6,9 @@ Full exp/log tables are built at construction, so multiplication, inversion
 and discrete logs are index arithmetic.  Addition stays in the log domain
 too: a Zech table holds zech[i] = log(1 + omega^i) (-1 when that sum is
 zero), so omega^a + omega^b = omega^(a + zech[b - a]) is one lookup, and
-negation adds N/2 to the index for odd p.
+negation adds N/2 to the index for odd p.  The three tables are typed
+arrays (array.array, 4-byte entries, 8-byte once the order reaches 2^31),
+so together they hold about 12 bytes per field element.
 
 The exp table is built one table-driven omega-step per element: multiplying
 by omega is F_p-linear, so the code of omega*c is the sum of two
@@ -24,6 +26,7 @@ same (p, e, modulus) are bit-identical.
 from __future__ import annotations
 
 import itertools
+from array import array
 from fractions import Fraction
 
 
@@ -223,18 +226,28 @@ class ExtensionField:
 
         # exp[i] is the code of omega^i and log[code] = i; for F_2 (N = 1)
         # omega is 1 and exp = [1].  log[0] = -1 encodes zero.
-        self.exp, self.log = self._exp_log_tables()
+        tc = "i" if self.order < 2 ** 31 else "q"
+        self.exp, self.log = self._exp_log_tables(tc)
         if self.log.count(-1) != 1:
             raise FieldError("exp table is not a bijection")  # unreachable
 
-        # zech[i] = log(1 + omega^i): adding 1 steps the constant digit mod p
-        self.zech = [self.log[c + 1 if c % p != p - 1 else c - (p - 1)]
-                     for c in self.exp]
+        # zech[i] = log(1 + omega^i).  Adding 1 steps the constant digit mod
+        # p: it takes each code c = j (mod p) to the next code, cyclically,
+        # of its block of p consecutive codes.  So zech[log[c]] = log[c + 1]
+        # pairs the strided views log[j::p] and log[(j + 1) % p::p], with no
+        # copy; log[0] = -1 is zero, which has no entry.
+        self.zech = array(tc, [0]) * len(self.exp)
+        with memoryview(self.zech) as zech_w, memoryview(self.log) as log_r:
+            for j in range(p):
+                for i, z in zip(log_r[j::p], log_r[(j + 1) % p::p]):
+                    if i >= 0:
+                        zech_w[i] = z
 
         self._subfields = {}
 
-    def _exp_log_tables(self):
-        """exp and log tables, one table-driven omega-step per element.
+    def _exp_log_tables(self, tc):
+        """exp and log tables (arrays of typecode tc), one table-driven
+        omega-step per element.
 
         Multiplication by omega is F_p-linear.  Split a code as lo + hi*P
         with P = p^h, h = ceil(e/2); then omega*c = omega*lo + omega*(hi*x^h),
@@ -260,15 +273,18 @@ class ExtensionField:
         w_hi = [spread_code(self.mul_codes(omega, hi * P))
                 for hi in range(p ** (e - h))]
         n = max(self.N, 1)
-        exp = [0] * n
-        log = [-1] * self.order
-        lo, hi = 1, 0
-        for i in range(n):
-            c = lo + hi * P
-            exp[i] = c
-            log[c] = i
-            s = w_lo[lo] + w_hi[hi]
-            lo, hi = r[s % Bh], r[s // Bh]
+        exp = array(tc, [0]) * n
+        log = array(tc, [-1]) * self.order
+        # stored through memoryviews: an array item assignment parses its
+        # argument with a format string, a memoryview's stores it directly
+        with memoryview(exp) as exp_w, memoryview(log) as log_w:
+            lo, hi = 1, 0
+            for i in range(n):
+                c = lo + hi * P
+                exp_w[i] = c
+                log_w[c] = i
+                s = w_lo[lo] + w_hi[hi]
+                lo, hi = r[s % Bh], r[s // Bh]
         return exp, log
 
     # -- code-level arithmetic (polynomial route, independent of the tables)
@@ -323,14 +339,16 @@ class ExtensionField:
                                              self._compute_digits(b)))
 
     def pow_code(self, a, t):
-        result = 1
-        base = a
+        """Code of a^t by square-and-multiply on digit vectors."""
+        result = [1] + [0] * (self.e - 1)
+        base = self._compute_digits(a)
         while t:
             if t & 1:
-                result = self.mul_codes(result, base)
-            base = self.mul_codes(base, base)
+                result = self._mul_digits(result, base)
             t >>= 1
-        return result
+            if t:
+                base = self._mul_digits(base, base)
+        return self._encode(result)
 
     def _has_full_order(self, code):
         if type(code) is not int or not 0 < code < self.order:

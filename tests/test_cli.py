@@ -76,6 +76,25 @@ def test_verify_empty_file_is_data_error(tmp_path):
     assert main(["verify", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("pad", [" ", "\n", "\t", " \n\t\n"])
+def test_verify_oos_json_after_leading_whitespace(tmp_path, capsys, pad):
+    blob = json.dumps({"n": 7, "sets": [[0, 1, 3]]})
+    plain, padded = tmp_path / "plain.oos.json", tmp_path / "pad.oos.json"
+    plain.write_text(blob)
+    padded.write_text(pad + blob)
+    assert main(["verify", str(plain), "--lambda", "1"]) == 0
+    expected = capsys.readouterr()
+    assert main(["verify", str(padded), "--lambda", "1"]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_verify_bits_file_after_leading_blank_lines(tmp_path, capsys):
+    path = tmp_path / "blank.ooc"
+    path.write_text("\n  \n\t\n# n=7 w=3 lambda=1 size=1\n1101000\n")
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
 def test_verify_oos_without_lambda_is_usage_error(q3_run):
     assert main(["verify", str(q3_run) + ".oos.json"]) == 2
 

@@ -1,16 +1,19 @@
 """Field arithmetic, discrete logs, subfields, norms and counting."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from sympy import GF, Poly, Symbol, factorint
 
 from oocgen import (FieldError, field_create, field_from_descriptor,
                     field_for_prime_power, gaussian_binomial)
-from oocgen.field import _prime_factors, canonical_modulus
+from oocgen.field import ExtensionField, _prime_factors, canonical_modulus
 from conftest import first_irreducible, poly_exp_table, subfield_coords
 
 
@@ -73,12 +76,47 @@ def test_tables_match_polynomial_stepping_oracle(p, e):
     exp, log, zech = poly_exp_table(f)
     assert log.count(-1) == 1
     assert f.modulus == tuple(first_irreducible(p, e))
-    assert f.exp == exp
-    assert f.log == log
-    assert f.zech == zech
+    assert list(f.exp) == exp
+    assert list(f.log) == log
+    assert list(f.zech) == zech
     # omega^L has order N / gcd(L, N): omega is the smallest primitive code
     assert f.omega_code == min(c for c in range(1, f.order)
                                if math.gcd(log[c], f.N) == 1)
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (2, 12)])
+def test_tables_take_under_20_bytes_per_element(p, e):
+    # typed-array tables hold ~12 B/element; lists of ints took ~86.  The
+    # peak also bounds what the build keeps and any temporary list.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = ExtensionField(p, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / f.order < 20
+
+
+def test_tables_with_8_byte_entries_match():
+    # orders >= 2^31 take typecode "q"; too big to build, so run the walk
+    f = field_create(3, 5)
+    exp, log = f._exp_log_tables("q")
+    assert exp.itemsize == log.itemsize == 8
+    assert exp == array("q", f.exp) and log == array("q", f.log)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 6), (3, 5), (5, 3), (7, 2)])
+def test_pow_code_matches_repeated_mul_codes(p, e):
+    f = field_create(p, e)
+    rng = random.Random(p * 100 + e)
+    for a in [1, f.omega_code] + [rng.randrange(f.order) for _ in range(4)]:
+        ts = [0, 1, 2] + [rng.randrange(3, 3 * f.order) for _ in range(3)]
+        for t in ts:
+            acc = 1
+            for _ in range(t):
+                acc = f.mul_codes(acc, a)
+            assert f.pow_code(a, t) == acc, (a, t)
 
 
 def test_dlog_examples():
