@@ -7,9 +7,9 @@ from .field import (ExtensionField, FieldElement, FieldError,
 from .subspaces import (CosetFamily, CyclicSubspaceCode, Subspace,
                         SubspaceError, build_coset_family, code_from_dict,
                         code_min_distance, construct_g, construct_w,
-                        coset_representatives, difference_counts,
-                        dim_intersection, is_multi_sidon, is_sidon, orbit,
-                        orbit_size, span, subspace_distance, subspace_to_dict,
+                        coset_representatives, dim_intersection,
+                        is_multi_sidon, is_sidon, orbit, orbit_size, span,
+                        subspace_distance, subspace_to_dict,
                         validate_multi_orbit)
 from .ooc import (IndexSet, OocCode, OocError, OocParams, VerificationError,
                   VerificationReport, autocorr_max, build_ooc,

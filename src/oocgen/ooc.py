@@ -2,9 +2,10 @@
 
 The translation layer maps field subsets to subsets of Z_N through discrete
 logs.  A codeword is its support, an IndexSet; the binary word is only how
-the bits file prints it.  Correlation maxima are exact: one sweep stacks the
+the bits file prints it.  Correlation maxima are exact: they come from the
+package's one counting kernel, subspaces._column_counts, which stacks the
 words' doubled indicators in one big integer and adds its shifts into
-bit-sliced counters, which then hold every cyclic count |X_i ∩ (X_j + tau)|
+bit-sliced counters.  These then hold every cyclic count |X_i ∩ (X_j + tau)|
 with i <= j for one word j at a time, in sparse and dense families alike.  The
 field-side conditions are checked through code-level polynomial
 multiplication, fully independent of the exp/log tables, so the two
@@ -17,7 +18,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .subspaces import build_coset_family, check_g_params, code_min_distance
+from .subspaces import (_column_counts, _peak, build_coset_family,
+                        check_g_params, code_min_distance)
 
 
 class OocError(ValueError):
@@ -57,13 +59,13 @@ class IndexSet:
 
 def support(X):
     """A codeword is its support, so this returns X.  It goes when the
-    benchmark stops importing it (ROADMAP item 3)."""
+    benchmark stops importing it (ROADMAP item 1)."""
     return X
 
 
 def unsupport(X, n):
     """X as a codeword of length n (OocError if X does not fit).  It goes
-    when the benchmark stops importing it (ROADMAP item 3)."""
+    when the benchmark stops importing it (ROADMAP item 1)."""
     return IndexSet(n, X.members)
 
 
@@ -81,52 +83,9 @@ def shift(X, tau):
 # correlation maxima
 # ---------------------------------------------------------------------------
 
-def _column_counts(sets, n):
-    """Bit-sliced cyclic difference counts, one column of the family at a
-    time: for each j, the counter planes of word j against words 0..j.
-
-    Word i's doubled indicator x | x << n sits at bit offset 2n·i of one
-    integer B, built up as j grows.  For y in X_j, bits [0, n) of block i of
-    B >> y hold the rotation X_i - y, so adding B >> y over all y in X_j
-    leaves c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the
-    count is that bit of plane k.  Each addition is a ripple carry over the
-    planes that stops once the carry is 0.  Bit positions never interact, so
-    the junk in bits [n, 2n) of a block never reaches [0, n), and no count
-    exceeds |X_j| < 2^d with d the number of planes.  Every column reuses
-    one list of planes, reset in place, so the caller's reference to the
-    last column does not keep its counts alive while the next is counted.
-    """
-    B, planes = 0, []
-    for j, X in enumerate(sets):
-        x = 0
-        for a in X.members:
-            x |= 1 << a
-        B |= (x | x << n) << (2 * n * j)
-        planes[:] = [0] * len(X.members).bit_length()
-        for y in X.members:
-            carry = B >> y
-            for k, P in enumerate(planes):
-                planes[k] = P ^ carry
-                carry &= P
-                if not carry:
-                    break
-        yield planes
-
-
-def _peak(planes, mask):
-    """The largest count at a bit of mask and the lowest bit that holds it
-    (None if mask is 0), by a top-down scan of the planes."""
-    cand, value = mask, 0
-    for k in range(len(planes) - 1, -1, -1):
-        hit = cand & planes[k]
-        if hit:
-            cand, value = hit, value | 1 << k
-    return value, (cand & -cand).bit_length() - 1 if cand else None
-
-
 def autocorr_max(X):
     """Max of |X ∩ (X + tau)| over 0 < tau < n, with the smallest such tau."""
-    planes, = _column_counts([X], X.n)
+    planes, = _column_counts([X.members], X.n)
     return _peak(planes, (1 << X.n) - 2)
 
 
@@ -137,7 +96,7 @@ def crosscorr_max(X, Y):
     """
     if X.n != Y.n:
         raise OocError("index sets have different moduli")
-    _, planes = _column_counts([X, Y], X.n)
+    _, planes = _column_counts([X.members, Y.members], X.n)
     return _peak(planes, (1 << X.n) - 1)
 
 
@@ -186,7 +145,7 @@ def verify_oos(sets, lam):
     below = 0  # bits [0, n) of every block before the current one
     max_auto, auto_wit = 0, None
     max_cross, cross_wit = 0, None
-    for j, planes in enumerate(_column_counts(sets, n)):
+    for j, planes in enumerate(_column_counts([X.members for X in sets], n)):
         offset = stride * j
         v, tau = _peak([P >> offset for P in planes], low - 1)
         if v > max_auto or auto_wit is None:
@@ -268,6 +227,8 @@ def johnson_bound(n, w, lam):
 
 def optimality_ratio(size, n, w, lam):
     """size / J(n, w, lam) as an exact rational."""
+    if size < 0:
+        raise OocError(f"size must be >= 0, got size={size}")
     j = johnson_bound(n, w, lam)
     if j == 0:
         raise OocError("Johnson bound is zero; ratio undefined")

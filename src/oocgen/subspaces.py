@@ -6,18 +6,17 @@ sweep over scalings alpha = omega^a asks for |U ∩ alpha V| at each a, and
 all of them are answered by one cyclic difference count on the nonzero
 indices: |U ∩ alpha V| = 1 + #{(u, v) : u - v = a (mod N)}.
 
-The count, difference_counts, takes one of two routes by input size alone.
-Sparse pairs (|X|·|Y| <= 16·n, every sweep of the construction) loop over
-X x Y.  Dense pairs, as in the sweeps over a dense subspace from a --code
-file, are one big-integer product X(z)·Y(z^-1) mod z^n - 1 by Kronecker
-substitution, which costs O(n) however few members the sets have.  OOC
-verification does not use this count; ooc.verify_oos has its own sweep.
+One kernel makes every such count in the package: _column_counts adds the
+shifts of stacked indicators into bit-sliced counter planes, for sparse and
+dense sets alike.  Each sweep then reads the planes through masks:
+_at_least gives the positions whose count reaches a threshold, and _peak
+the largest count in a mask with the lowest position that holds it.
+ooc.verify_oos runs the same kernel over the OOC words.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .field import (ExtensionField, FieldElement, factor_prime_power,
@@ -40,57 +39,63 @@ def _log_exact(size, q):
     return d
 
 
-# Pair steps per slot of c up to which the pair loop beats the product: the
-# product costs O(n) in packing and folding however sparse the sets are.
-_LOOP_PAIRS_PER_SLOT = 16
+def _column_counts(sets, n):
+    """Bit-sliced cyclic difference counts, one column of the family at a
+    time: for each j, the counter planes of set j against sets 0..j.
 
-_SLOT_FORMAT = {1: "B", 2: "H", 4: "I"}
-
-
-def difference_counts(X, Y, n):
-    """c with c[tau] = |X ∩ (Y + tau)| for every tau in Z_n.
-
-    X and Y hold distinct members of range(n).  Sparse pairs, with
-    |X|·|Y| <= _LOOP_PAIRS_PER_SLOT·n, count x - y (mod n) over all pairs
-    (x, y) in X x Y; a negative difference indexes c from the end, which is
-    the reduction mod n.  Denser pairs take _product_counts.
+    Each set is a collection of distinct members of range(n).  Set i's
+    doubled indicator x | x << n sits at bit offset 2n·i of one integer B,
+    built up as j grows.  For y in X_j, bits [0, n) of block i of B >> y
+    hold the rotation X_i - y, so adding B >> y over all y in X_j leaves
+    c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the count is
+    that bit of plane k.  Each addition is a ripple carry over the planes
+    that stops once the carry is 0.  Bit positions never interact, so the
+    junk in bits [n, 2n) of a block never reaches [0, n), and no count
+    exceeds |X_j| < 2^d with d the number of planes.  Every column reuses
+    one list of planes, reset in place, so the caller's reference to the
+    last column does not keep its counts alive while the next is counted.
     """
-    if len(X) * len(Y) > _LOOP_PAIRS_PER_SLOT * n:
-        return _product_counts(X, Y, n)
-    c = [0] * n
-    for y in Y:
-        for x in X:
-            c[x - y] += 1
-    return c
+    B, planes = 0, []
+    for j, X in enumerate(sets):
+        x = 0
+        for a in X:
+            x |= 1 << a
+        B |= (x | x << n) << (2 * n * j)
+        planes[:] = [0] * len(X).bit_length()
+        for y in X:
+            carry = B >> y
+            for k, P in enumerate(planes):
+                planes[k] = P ^ carry
+                carry &= P
+                if not carry:
+                    break
+        yield planes
 
 
-def _product_counts(X, Y, n):
-    """difference_counts as one integer product X(z)·Y(z^-1) mod z^n - 1.
+def _peak(planes, mask):
+    """The largest count at a bit of mask and the lowest bit that holds it
+    (None if mask is 0), by a top-down scan of the planes."""
+    cand, value = mask, 0
+    for k in range(len(planes) - 1, -1, -1):
+        hit = cand & planes[k]
+        if hit:
+            cand, value = hit, value | 1 << k
+    return value, (cand & -cand).bit_length() - 1 if cand else None
 
-    Kronecker substitution: X goes in as sum z^x and Y as sum z^(n-1-y),
-    with z = 2^(8b) and b bytes per slot, so the product's coefficient at
-    n-1+tau counts x - y = tau.  No coefficient exceeds min(|X|, |Y|), so b
-    is the smallest width that holds that, and neither the product nor the
-    cyclic fold ever carries into the next slot.
-    """
-    m = min(len(X), len(Y))
-    b = 1 if m < 1 << 8 else 2 if m < 1 << 16 else 4
-    bits = 8 * b
-    xs, ys = bytearray(n * b), bytearray(n * b)
-    for x in X:
-        xs[x * b] = 1
-    for y in Y:
-        ys[(n - 1 - y) * b] = 1
-    P = int.from_bytes(xs, "little") * int.from_bytes(ys, "little")
-    low = (n - 1) * bits
-    P = (P >> low) + ((P & ((1 << low) - 1)) << bits)
-    # the cast reads slots in native byte order; a big-endian to_bytes also
-    # puts slot 0 last
-    c = memoryview(P.to_bytes(n * b, sys.byteorder)).cast(
-        _SLOT_FORMAT[b]).tolist()
-    if sys.byteorder == "big":
-        c.reverse()
-    return c
+
+def _at_least(planes, v, mask):
+    """The bits of mask whose count is at least v, by a top-down compare of
+    the planes with the bits of v.  Equality to v is _at_least(v) minus
+    _at_least(v + 1)."""
+    if v >> len(planes):
+        return 0
+    above = 0
+    for k in range(len(planes) - 1, -1, -1):
+        if v >> k & 1:
+            mask &= planes[k]
+        else:
+            above |= mask & planes[k]
+    return above | mask
 
 
 def _nonzero(U):
@@ -187,12 +192,13 @@ def is_sidon(U):
     by log index.
     """
     f, q, N = U.field, U.ground_q, U.field.N
-    units = _ground_unit_indices(f, q)
-    S = _nonzero(U)
-    c = difference_counts(S, S, N)
+    units = sum(1 << u for u in _ground_unit_indices(f, q))
+    planes, = _column_counts([_nonzero(U)], N)
     # dim(U ∩ alpha U) >= 2  <=>  |U ∩ alpha U| = 1 + c[a] > q
-    a = next((a for a in range(1, N) if c[a] >= q and a not in units), None)
-    return (True, None) if a is None else (False, f.from_idx(a))
+    hit = _at_least(planes, q, (1 << N) - 2 & ~units)
+    if not hit:
+        return True, None
+    return False, f.from_idx((hit & -hit).bit_length() - 1)
 
 
 def is_multi_sidon(spaces):
@@ -214,20 +220,22 @@ def is_multi_sidon(spaces):
         ok, alpha = is_sidon(U)
         if not ok:
             return False, (i, i, alpha)
+    S = [_nonzero(U) for U in spaces]
     for i in range(len(spaces)):
         for j in range(i + 1, len(spaces)):
-            c = difference_counts(_nonzero(spaces[i]), _nonzero(spaces[j]), N)
-            a = next((a for a, v in enumerate(c) if v >= q), None)
-            if a is not None:
-                return False, (i, j, f.from_idx(a))
+            _, planes = _column_counts([S[i], S[j]], N)
+            hit = _at_least(planes, q, (1 << N) - 1)
+            if hit:
+                return False, (i, j, f.from_idx((hit & -hit).bit_length() - 1))
     return True, None
 
 
 def orbit_size(U):
     """N / |stabiliser|, the stabiliser being the a with omega^a U = U."""
-    S = _nonzero(U)
-    stabilizer = difference_counts(S, S, U.field.N).count(len(S))
-    return U.field.N // stabilizer
+    S, N = _nonzero(U), U.field.N
+    planes, = _column_counts([S], N)
+    stabilizer = _at_least(planes, len(S), (1 << N) - 1).bit_count()
+    return N // stabilizer
 
 
 def orbit(U):
@@ -267,15 +275,9 @@ class CyclicSubspaceCode:
         return sum(self.orbit_sizes)
 
     def orbits_disjoint(self):
-        N = self.field.N
-        reps = [_nonzero(U) for U in self.representatives]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                Si, Sj = reps[i], reps[j]
-                if (len(Si) == len(Sj)
-                        and len(Si) in difference_counts(Si, Sj, N)):
-                    return False
-        return True
+        """No two representatives share an orbit: the distance is 0 exactly
+        when U_i = alpha U_j for some i != j."""
+        return len(self.representatives) < 2 or code_min_distance(self) > 0
 
     def to_dict(self):
         return {
@@ -321,25 +323,39 @@ def code_min_distance(code):
     """Minimum subspace distance over the whole union of orbits.
 
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
-    sweep of alpha against fixed representatives is exact.
+    sweep of alpha against fixed representatives is exact.  One pass of
+    _column_counts gives c[a] = |U_i ∩ omega^a U_j| - 1 for every orbit
+    pair i <= j; on the diagonal, the a with c[a] = |U_i| - 1 give
+    omega^a U_i = U_i, the same codeword, and are left out.  Every count
+    left must be q^e - 1 for some e, the size of a subspace less zero.
     """
     reps = code.representatives
-    q, N = code.ground_q, code.field.N
-    best = None
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            Si, Sj = _nonzero(reps[i]), _nonzero(reps[j])
-            counts = set(difference_counts(Si, Sj, N))
-            if i == j:  # alpha U_i = U_i is the same codeword
-                counts.discard(len(Si))
-            for v in counts:  # |U_i ∩ alpha U_j| = 1 + v
-                d = reps[i].dim + reps[j].dim - 2 * _log_exact(1 + v, q)
-                if best is None or d < best:
-                    best = d
+    q, N, k = code.ground_q, code.field.N, code.dim
+    low, stride = (1 << N) - 1, 2 * N
+    below, best = 0, None
+    for j, planes in enumerate(_column_counts(map(_nonzero, reps), N)):
+        diag = low << stride * j
+        # no count in column j exceeds |S_j| = q^k - 1
+        region = below | diag & ~_at_least(planes, q ** k - 1, diag)
+        exact = 0
+        for e in range(k + 1):
+            v = q ** e - 1
+            exact |= (_at_least(planes, v, region)
+                      & ~_at_least(planes, v + 1, region))
+        bad = region & ~exact
+        if bad:  # a span not closed under addition
+            # the peak of the complemented planes is the least bad count
+            v =(1 << len(planes)) - 1 - _peak([~P for P in planes], bad)[0]
+            raise SubspaceError(f"set of size {1 + v} is not "
+                                f"F_{q}-subspace sized")
+        if region:
+            v, _ = _peak(planes, region)
+            best = v if best is None else max(best, v)
+        below |= diag
     if best is None:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
                             "is undefined")
-    return best
+    return 2 * k - 2 * _log_exact(1 + best, q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oocgen import cli
 from oocgen.cli import main
 from conftest import bit_level_ooc_ok, canonical_sidon_f64
-from oocgen import CyclicSubspaceCode, subspace_to_dict
+from oocgen import CyclicSubspaceCode, field_create, subspace_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +299,24 @@ def test_construct_code_file_bad_field_entry_is_data_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("bases,message", [
+    ([[], []], "not pairwise disjoint"),     # two orbits of {0}
+    ([[]], "undefined"),                     # one orbit of {0}
+    ([[0, 1, 2, 3]], "undefined"),           # the whole of F_81
+])
+def test_construct_code_file_degenerate_orbits_are_data_error(
+        tmp_path, capsys, bases, message):
+    F81 = field_create(3, 4)
+    code = {"field": F81.descriptor(),
+            "orbits": [{"ground_q": 3, "basis": b} for b in bases]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["construct", "--code", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_construct_code_file_index_out_of_range_is_data_error(tmp_path):
     code = _sidon_code_dict()
     code["orbits"][0]["basis"][0] = 999  # F_64 has log indices -1..62
@@ -319,6 +337,9 @@ def test_bound_command(capsys):
 def test_bound_with_size(capsys):
     assert main(["bound", "63", "8", "2", "--size", "7"]) == 0
     assert "7/11" in capsys.readouterr().out
+    assert main(["bound", "10", "3", "1", "--size", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "size must be >= 0" in captured.err
 
 
 def test_bound_rejects_lam_ge_w(capsys):

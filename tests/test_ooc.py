@@ -1,19 +1,19 @@
 """Index sets, correlation maxima, field-side conditions, bounds, pipeline."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oocgen
 from oocgen import (IndexSet, OocCode, OocError, autocorr_max, build_ooc,
                     check_field_conditions, construct_g, crosscorr_max,
-                    difference_counts, field_create, johnson_bound, optimality_ratio,
+                    field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, shift, verify_oos)
 from oocgen import ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _product_counts
+from oocgen.subspaces import _at_least, _column_counts, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, pair_difference_counts,
                       pair_verify_oos)
 
@@ -152,6 +152,22 @@ def _set_pair(draw):
     return IndexSet(n, draw(members)), IndexSet(n, draw(members))
 
 
+def _plane_counts(planes, n):
+    """The count at each bit of [0, n), read off the counter planes."""
+    c = [0] * n
+    for k, P in enumerate(planes):
+        for t, b in enumerate(format(P & (1 << n) - 1, f"0{n}b")[::-1]):
+            if b == "1":
+                c[t] += 1 << k
+    return c
+
+
+def _counts(X, Y, n):
+    """c[tau] = |X ∩ (Y + tau)| from the kernel: block 0 of column [X, Y]."""
+    _, planes = _column_counts([X, Y], n)
+    return _plane_counts(planes, n)
+
+
 @given(_set_pair())
 def test_difference_counts_match_bit_oracle(pair):
     X, Y = pair
@@ -159,7 +175,7 @@ def test_difference_counts_match_bit_oracle(pair):
     xb, yb = bits(X), bits(Y)
     # sum_t y_t x_{t+tau} = #{t in Y : t + tau in X} = |X ∩ (Y + tau)|
     cross = [bit_corr(yb, xb, tau) for tau in range(n)]
-    assert difference_counts(X.members, Y.members, n) == cross
+    assert _counts(X.members, Y.members, n) == cross
     best = max(cross)
     assert crosscorr_max(X, Y) == (best, min(t for t in range(n)
                                             if cross[t] == best))
@@ -172,12 +188,45 @@ def test_difference_counts_match_bit_oracle(pair):
         assert autocorr_max(X) == (0, None)
 
 
+@st.composite
+def _masked_pair(draw):
+    n = draw(st.integers(1, 48))
+    dense = draw(st.booleans())
+    members = st.frozensets(st.integers(0, n - 1),
+                            min_size=n // 2 if dense else 0)
+    return draw(members), draw(members), n, draw(st.integers(0, (1 << n) - 1))
+
+
+@given(_masked_pair())
+def test_at_least_and_peak_match_pair_loop(case):
+    X, Y, n, mask = case
+    c = pair_difference_counts(X, Y, n)
+    _, planes = _column_counts([X, Y], n)
+    assert len(planes) == len(Y).bit_length()  # [] for an empty Y
+    at_least = [_at_least(planes, v, mask)
+                for v in range((1 << len(planes)) + 2)]
+    for v, got in enumerate(at_least):
+        assert got == sum(1 << t for t in range(n)
+                          if mask >> t & 1 and c[t] >= v)
+        if v + 1 < len(at_least):
+            assert got & ~at_least[v + 1] == sum(
+                1 << t for t in range(n) if mask >> t & 1 and c[t] == v)
+    masked = [t for t in range(n) if mask >> t & 1]
+    best = max((c[t] for t in masked), default=0)
+    assert _peak(planes, mask) == (
+        best, next((t for t in masked if c[t] == best), None))
+
+
 def _range_counts(m, n):
     """c for X = Y = range(m) in Z_n, m <= n, in closed form: the
     difference d in (-m, m) occurs m - |d| times and lands on d mod n."""
     return [max(0, m - t) + (max(0, m - (n - t)) if t else 0)
             for t in range(n)]
 
+
+# The counts c[tau] = |X ∩ (Y + tau)| are the coefficients of the cyclic
+# product X(z)·Y(z^-1) mod z^n - 1; each tau's counter, its slot, is as wide
+# as the number of planes.
 
 @pytest.mark.parametrize("X,Y,n", [
     ({0}, {0}, 1), (set(), {0}, 1), ({0}, set(), 1),
@@ -187,7 +236,7 @@ def _range_counts(m, n):
 def test_product_counts_small_cases(X, Y, n):
     xb = [1 if t in X else 0 for t in range(n)]
     yb = [1 if t in Y else 0 for t in range(n)]
-    c = _product_counts(X, Y, n)
+    c = _counts(X, Y, n)
     assert c == [bit_corr(yb, xb, tau) for tau in range(n)]
     assert c == pair_difference_counts(X, Y, n)
     if X == Y:
@@ -196,27 +245,23 @@ def test_product_counts_small_cases(X, Y, n):
 
 @pytest.mark.parametrize("m,n", [(255, 600), (256, 600), (300, 400)])
 def test_product_counts_at_slot_width_boundaries(m, n):
-    # a count of 255 fits one byte per slot, 256 needs two; the fold wraps
-    # the counts of negative differences round to the top of c
-    X = range(m)
-    assert _product_counts(X, X, n) == _range_counts(m, n)
-    assert _range_counts(m, n) == pair_difference_counts(X, X, n)
+    # a count of 255 fits eight planes, 256 needs nine; the counts of
+    # negative differences wrap round to the top of c
+    planes, = _column_counts([range(m)], n)
+    assert len(planes) == m.bit_length()
+    assert _plane_counts(planes, n) == _range_counts(m, n)
+    assert _range_counts(m, n) == pair_difference_counts(range(m),
+                                                         range(m), n)
 
 
-@pytest.mark.parametrize("m", [65535, 65536])
+@pytest.mark.parametrize("m", [65535])
 def test_product_counts_at_widest_slots(m):
-    # 65535 is the largest count two bytes hold; 65536 takes four
-    c = _product_counts(range(m), range(m), m + 1)
+    # 65535 is the largest count sixteen planes hold
+    planes, = _column_counts([range(m)], m + 1)
+    assert len(planes) == 16
+    c = _plane_counts(planes, m + 1)
     assert c == _range_counts(m, m + 1)
     assert c[0] == m
-
-
-def test_product_counts_slot_order_on_big_endian_hosts(monkeypatch):
-    # one-byte slots read the same in either byte order, so this runs the
-    # big-endian branch's slot reversal on any host
-    X, Y, n = {0, 1, 4, 9}, {2, 3, 9}, 13
-    monkeypatch.setattr(sys, "byteorder", "big")
-    assert _product_counts(X, Y, n) == pair_difference_counts(X, Y, n)
 
 
 @st.composite
@@ -231,32 +276,9 @@ def test_product_counts_match_pair_loop_and_bit_oracle(pair):
     X, Y, n = pair
     xb = [1 if t in X else 0 for t in range(n)]
     yb = [1 if t in Y else 0 for t in range(n)]
-    c = _product_counts(X, Y, n)
+    c = _counts(X, Y, n)
     assert c == pair_difference_counts(X, Y, n)
     assert c == [bit_corr(yb, xb, tau) for tau in range(n)]
-    assert difference_counts(X, Y, n) == c
-
-
-@pytest.mark.parametrize("w,n,route", [
-    (49, 2400, "loop"), (48, 2400, "loop"), (242, 59048, "loop"),
-    (500, 2000, "product"), (24, 36, "loop"), (25, 36, "product"),
-])
-def test_difference_counts_route_follows_size_rule(monkeypatch, w, n,
-                                                    route):
-    # the benchmark's construct and design sweeps (w = 49, 48, 242) stay on
-    # the loop and its dense verify (w = 500) takes the product; 24^2 is
-    # exactly 16 * 36
-    taken = ["loop"]
-    real = subspaces._product_counts
-
-    def spy(X, Y, n):
-        taken[0] = "product"
-        return real(X, Y, n)
-
-    monkeypatch.setattr(subspaces, "_product_counts", spy)
-    X = range(w)
-    assert difference_counts(X, X, n) == _range_counts(w, n)
-    assert taken == [route]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +383,12 @@ def test_verify_oos_witness_is_lowest_pair_then_smallest_tau():
     assert cross == {"kind": "cross", "words": [0, 1], "tau": 2, "value": 1}
 
 
-def test_verify_oos_counts_without_difference_counts(monkeypatch):
-    def boom(*args):
-        raise AssertionError("verify_oos called a pair kernel")
-
-    monkeypatch.setattr(subspaces, "difference_counts", boom)
-    monkeypatch.setattr(subspaces, "_product_counts", boom)
-    assert "difference_counts" not in vars(ooc)
+def test_verify_oos_counts_without_difference_counts():
+    # one kernel counts for the subspace sweeps and verify_oos alike
+    for module in (oocgen, subspaces, ooc):
+        assert not hasattr(module, "difference_counts")
+        assert not hasattr(module, "_product_counts")
+    assert ooc._column_counts is subspaces._column_counts
     rng = random.Random(16)
     for n, w in [(2400, 49), (400, 100)]:  # sparse and dense families
         sets = [IndexSet(n, frozenset(rng.sample(range(n), w)))

@@ -12,7 +12,7 @@ from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     gaussian_binomial, is_multi_sidon, is_sidon, orbit,
                     orbit_size, span, subspace_distance, validate_multi_orbit)
 from oocgen import subspaces
-from oocgen.subspaces import _log_exact, difference_counts
+from oocgen.subspaces import Subspace, _log_exact
 from conftest import (canonical_sidon_f64, field_coset_family,
                       greedy_coset_representatives, rank_dim_intersection)
 
@@ -242,24 +242,33 @@ def test_min_distance_of_g_codes(pipeline_q3, pipeline_q5):
 def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
                                                        pipeline_q3,
                                                        pipeline_q5):
+    # one kernel pass over the r representatives: column j holds the
+    # blocks i <= j, r(r + 1)/2 orbit pairs in all
     calls = []
+    real = subspaces._column_counts
 
-    def counting(X, Y, n):
-        calls.append(n)
-        return difference_counts(X, Y, n)
+    def counting(sets, n):
+        sets = list(sets)
+        calls.append(len(sets))
+        return real(sets, n)
 
-    monkeypatch.setattr(subspaces, "difference_counts", counting)
+    monkeypatch.setattr(subspaces, "_column_counts", counting)
     for code in (pipeline_q3[0], pipeline_q5[0]):
-        r = len(code.representatives)
         calls.clear()
         assert code_min_distance(code) == code.min_distance
-        assert len(calls) == r * (r + 1) // 2  # 1 for q = 3, 3 for q = 5
+        assert calls == [len(code.representatives)]  # r = 1, then r = 2
 
 
 def test_min_distance_single_subspace_rejected():
     U = span(F81, [F81.from_idx(i) for i in range(80)], 3)
-    with pytest.raises(SubspaceError):
+    with pytest.raises(SubspaceError, match="undefined"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (U,)))
+    # nine log indices, but not closed under addition: the count 1 at
+    # alpha = omega^7 makes |V ∩ alpha V| = 2, no power of 3
+    V = Subspace(F81, 3, [F81.from_idx(0), F81.from_idx(1)],
+                 [-1, *range(8)])
+    with pytest.raises(SubspaceError, match="set of size 2 is not F_3"):
+        code_min_distance(CyclicSubspaceCode(F81, 3, (V,)))
 
 
 def test_bad_norm_pair_lowers_distance():
