@@ -2,13 +2,13 @@
 
 Elements are stored by their discrete-log index with respect to a fixed
 primitive element omega: index -1 encodes zero, index i >= 0 encodes omega^i.
-Full exp/log tables are built at construction, so multiplication, inversion
-and discrete logs are index arithmetic.  Addition stays in the log domain
-too: a Zech table holds zech[i] = log(1 + omega^i) (-1 when that sum is
-zero), so omega^a + omega^b = omega^(a + zech[b - a]) is one lookup, and
-negation adds N/2 to the index for odd p.  The three tables are typed
-arrays (array.array, 4-byte entries, 8-byte once the order reaches 2^31),
-so together they hold about 12 bytes per field element.
+Full exp/log tables are built at construction, so multiplication and
+powers are index arithmetic.  Addition stays in the log domain too: a Zech
+table holds zech[i] = log(1 + omega^i) (-1 when that sum is zero), so
+omega^a + omega^b = omega^(a + zech[b - a]) is one lookup.  The three
+tables are typed arrays (array.array, 4-byte entries, 8-byte once the
+order reaches 2^31), so together they hold about 12 bytes per field
+element.
 
 The exp table is built one table-driven omega-step per element: multiplying
 by omega is F_p-linear, so the code of omega*c is the sum of two
@@ -16,8 +16,7 @@ precomputed products, one for each half of c's digits, summed without
 carries and mapped back to digits by lookup (ExtensionField._exp_log_tables).
 Polynomial arithmetic on the coefficient ("code") representation,
 sum(c_i x^i) mod modulus encoded as the integer sum(c_i p^i), is used only
-to precompute those products, to test primitivity and by the independent
-polynomial-route checker.
+to precompute those products and to test primitivity.
 
 All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from fractions import Fraction
 
 
 class FieldError(ValueError):
@@ -137,15 +135,6 @@ class FieldElement:
         z = f.zech[(b - a) % f.N]
         return FieldElement(f, -1 if z < 0 else (a + z) % f.N)
 
-    def __neg__(self):
-        f = self.field
-        if self.idx < 0 or f.p == 2:
-            return self
-        return FieldElement(f, (self.idx + f.N // 2) % f.N)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         f = self.field
         f._check_same(other)
@@ -162,14 +151,6 @@ class FieldElement:
                 return f.zero()
             raise FieldError("negative power of zero")
         return FieldElement(f, (self.idx * t) % f.N)
-
-    def inverse(self):
-        if self.idx < 0:
-            raise FieldError("zero has no inverse")
-        return FieldElement(self.field, (-self.idx) % self.field.N)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -372,17 +353,10 @@ class ExtensionField:
     def one(self):
         return FieldElement(self, 0)
 
-    @property
-    def omega(self):
-        return FieldElement(self, 1 % self.N) if self.N > 1 else self.one()
-
     def from_idx(self, i):
         if i == -1:
             return self.zero()
         return FieldElement(self, i % self.N)
-
-    def from_code(self, code):
-        return FieldElement(self, self.log[code])
 
     def iter_elements(self):
         """All elements in canonical order: zero, then ascending log index."""
@@ -394,14 +368,7 @@ class ExtensionField:
         if not isinstance(other, FieldElement) or other.field is not self:
             raise FieldError("elements belong to different fields")
 
-    # -- discrete log and subfield structure
-
-    def dlog(self, x):
-        """Index i with omega^i = x; rejects zero."""
-        self._check_same(x)
-        if x.idx < 0:
-            raise FieldError("dlog of zero is undefined")
-        return x.idx
+    # -- subfield structure
 
     def subfield(self, order):
         if order not in self._subfields:
@@ -529,24 +496,6 @@ class SubfieldEmbedding:
         return [f.zero()] + [f.from_idx((self.stride * i) % f.N)
                              for i in range(self.order - 1)]
 
-    def nonzero_elements(self):
-        return self.elements()[1:]
-
     def __repr__(self):
         return f"SubfieldEmbedding(order={self.order} in {self.field!r})"
 
-
-# ---------------------------------------------------------------------------
-# counting
-# ---------------------------------------------------------------------------
-
-def gaussian_binomial(m, k, q):
-    """Number of k-dimensional subspaces of F_q^m, as an exact integer."""
-    if k < 0 or k > m:
-        return 0
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(q ** (m - i) - 1, q ** (k - i) - 1)
-    if num.denominator != 1:
-        raise FieldError(f"Gaussian binomial [{m} {k}]_{q} is not an integer")
-    return num.numerator

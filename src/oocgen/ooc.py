@@ -6,10 +6,7 @@ the bits file prints it.  Correlation maxima are exact: they come from the
 package's one counting kernel, subspaces._column_counts, which stacks the
 words' doubled indicators in one big integer and adds its shifts into
 bit-sliced counters.  These then hold every cyclic count |X_i ∩ (X_j + tau)|
-with i <= j for one word j at a time, in sparse and dense families alike.  The
-field-side conditions are checked through code-level polynomial
-multiplication, fully independent of the exp/log tables, so the two
-verdicts cross-validate each other.
+with i <= j for one word j at a time, in sparse and dense families alike.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .subspaces import (_column_counts, _peak, build_coset_family,
-                        check_g_params, code_min_distance)
+                        check_g_params)
 
 
 class OocError(ValueError):
@@ -74,31 +71,9 @@ def s_of_w(fld, W):
     return IndexSet(fld.N, frozenset(x.idx for x in W if not x.is_zero()))
 
 
-def shift(X, tau):
-    """X + tau in Z_n."""
-    return IndexSet(X.n, frozenset((a + tau) % X.n for a in X.members))
-
-
 # ---------------------------------------------------------------------------
 # correlation maxima
 # ---------------------------------------------------------------------------
-
-def autocorr_max(X):
-    """Max of |X ∩ (X + tau)| over 0 < tau < n, with the smallest such tau."""
-    planes, = _column_counts([X.members], X.n)
-    return _peak(planes, (1 << X.n) - 2)
-
-
-def crosscorr_max(X, Y):
-    """Max of |X ∩ (Y + tau)| over 0 <= tau < n, with the smallest such tau.
-
-    tau = 0 is included, so equal sets of size w give (w, 0).
-    """
-    if X.n != Y.n:
-        raise OocError("index sets have different moduli")
-    _, planes = _column_counts([X.members, Y.members], X.n)
-    return _peak(planes, (1 << X.n) - 1)
-
 
 @dataclass
 class VerificationReport:
@@ -162,47 +137,6 @@ def verify_oos(sets, lam):
     witnesses = [wit for wit in (auto_wit, cross_wit) if wit is not None]
     passed = max(max_auto, max_cross) <= lam
     return VerificationReport(max_auto, max_cross, witnesses, passed)
-
-
-def check_field_conditions(fld, w_lists, lam):
-    """Field-side OOS conditions, checked by polynomial multiplication.
-
-    (1) |W_i ∩ alpha W_i| <= lam for alpha outside {0, 1};
-    (2) |W_i ∩ alpha W_j| <= lam for i != j and nonzero alpha.
-    Works on coefficient codes with the field's polynomial-route multiply,
-    independently of the discrete-log tables.  Returns (ok, witness).
-    """
-    code_sets = []
-    for i, W in enumerate(w_lists):
-        codes = set()
-        for x in W:
-            if x.is_zero():
-                raise OocError(f"W_{i} contains zero")
-            codes.add(x.code)
-        code_sets.append(frozenset(codes))
-    if len(set(code_sets)) != len(code_sets):
-        raise OocError("the W_i must be pairwise distinct")
-    digits, mul, enc = fld._compute_digits, fld._mul_digits, fld._encode
-    digit_sets = [[digits(c) for c in codes] for codes in code_sets]
-    for a in range(2, fld.order):
-        da = digits(a)
-        for i, codes in enumerate(code_sets):
-            scaled = frozenset(enc(mul(da, d)) for d in digit_sets[i])
-            if len(codes & scaled) > lam:
-                return False, {"pair": (i, i), "alpha_code": a,
-                               "value": len(codes & scaled)}
-    for a in range(1, fld.order):
-        da = digits(a)
-        scaled = [frozenset(enc(mul(da, d)) for d in ds) for ds in digit_sets]
-        for i in range(len(code_sets)):
-            for j in range(len(code_sets)):
-                if i == j:
-                    continue
-                overlap = len(code_sets[i] & scaled[j])
-                if overlap > lam:
-                    return False, {"pair": (i, j), "alpha_code": a,
-                                   "value": overlap}
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +204,6 @@ def build_ooc(code):
     Declares n = q^m - 1, w = q^k, lam = q^(k - d/2) and size r*t, runs the
     full brute-force verification, and raises VerificationError on failure.
     """
-    if code.min_distance is None:
-        code.min_distance = code_min_distance(code)
     d = code.min_distance
     fld, q, k = code.field, code.ground_q, code.dim
     family = build_coset_family(code)

@@ -1,14 +1,14 @@
 """F_q-linear subspaces of F_{q^m} and cyclic subspace codes.
 
 Subspaces carry their full span as a frozenset of log indices (-1 for zero),
-which makes scaling by a nonzero field element a cheap index shift.  Every
-sweep over scalings alpha = omega^a asks for |U ∩ alpha V| at each a, and
-all of them are answered by one cyclic difference count on the nonzero
-indices: |U ∩ alpha V| = 1 + #{(u, v) : u - v = a (mod N)}.
+so scaling by omega^a shifts every nonzero index by a.  The distance sweep
+over scalings asks for |U ∩ omega^a V| at each a, and one cyclic difference
+count on the nonzero indices answers it for every a at once:
+|U ∩ omega^a V| = 1 + #{(u, v) : u - v = a (mod N)}.
 
 One kernel makes every such count in the package: _column_counts adds the
 shifts of stacked indicators into bit-sliced counter planes, for sparse and
-dense sets alike.  Each sweep then reads the planes through masks:
+dense sets alike.  The sweep then reads the planes through masks:
 _at_least gives the positions whose count reaches a threshold, and _peak
 the largest count in a mask with the lowest position that holds it.
 ooc.verify_oos runs the same kernel over the OOC words.
@@ -16,6 +16,7 @@ ooc.verify_oos runs the same kernel over the OOC words.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +26,6 @@ from .field import (ExtensionField, FieldElement, factor_prime_power,
 
 class SubspaceError(ValueError):
     """Invalid subspace or code input."""
-
-
-def _shift_span(span_idx, a, N):
-    """Span of alpha*U for alpha = omega^a, as an index set."""
-    return frozenset(-1 if i < 0 else (i + a) % N for i in span_idx)
 
 
 def _log_exact(size, q):
@@ -118,24 +114,6 @@ class Subspace:
                                 f"not match dimension {self.dim} over "
                                 f"F_{ground_q}")
 
-    def scale(self, alpha):
-        """The subspace alpha*U for nonzero alpha."""
-        if alpha.is_zero():
-            raise SubspaceError("cannot scale a subspace by zero")
-        return Subspace(self.field, self.ground_q,
-                        [alpha * b for b in self.basis],
-                        _shift_span(self.span_idx, alpha.idx, self.field.N))
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.field is other.field
-                and self.ground_q == other.ground_q
-                and self.span_idx == other.span_idx)
-
-    def __hash__(self):
-        return hash((id(self.field), self.ground_q, self.span_idx))
-
     def __repr__(self):
         return (f"Subspace(dim={self.dim}, q={self.ground_q}, "
                 f"ambient=F_{self.field.order})")
@@ -163,88 +141,10 @@ def span(field, elements, ground_q):
     return Subspace(field, ground_q, basis, current)
 
 
-def _check_compatible(U, V):
-    if U.field is not V.field or U.ground_q != V.ground_q:
-        raise SubspaceError("subspaces live in different ambient fields")
-
-
-def dim_intersection(U, V):
-    """dim_{F_q}(U intersect V) = log_q |U ∩ V| on the cached spans."""
-    _check_compatible(U, V)
-    return _log_exact(len(U.span_idx & V.span_idx), U.ground_q)
-
-
-def subspace_distance(U, V):
-    """d_s(U, V) = dim U + dim V - 2 dim(U intersect V)."""
-    return U.dim + V.dim - 2 * dim_intersection(U, V)
-
-
 def _ground_unit_indices(field, q):
     """Log indices of F_q^* inside the ambient field."""
     stride = field.N // (q - 1)
     return {(stride * i) % field.N for i in range(q - 1)}
-
-
-def is_sidon(U):
-    """Exhaustive Sidon check: dim(U ∩ alpha U) <= 1 for alpha outside F_q.
-
-    Returns (True, None) or (False, witness_alpha) with the smallest witness
-    by log index.
-    """
-    f, q, N = U.field, U.ground_q, U.field.N
-    units = sum(1 << u for u in _ground_unit_indices(f, q))
-    planes, = _column_counts([_nonzero(U)], N)
-    # dim(U ∩ alpha U) >= 2  <=>  |U ∩ alpha U| = 1 + c[a] > q
-    hit = _at_least(planes, q, (1 << N) - 2 & ~units)
-    if not hit:
-        return True, None
-    return False, f.from_idx((hit & -hit).bit_length() - 1)
-
-
-def is_multi_sidon(spaces):
-    """Multi-Sidon check on a family of equal-dimension subspaces.
-
-    dim(U_i ∩ alpha U_j) <= 1 must hold for all nonzero alpha when i != j,
-    and for alpha outside F_q when i = j.  Returns (True, None) or
-    (False, (i, j, alpha)).
-    """
-    if len(set(spaces)) != len(spaces):
-        raise SubspaceError("duplicate subspaces in multi-Sidon input")
-    dims = {U.dim for U in spaces}
-    if len(dims) != 1:
-        raise SubspaceError("multi-Sidon input must have equal dimensions")
-    for U in spaces[1:]:
-        _check_compatible(spaces[0], U)
-    f, q, N = spaces[0].field, spaces[0].ground_q, spaces[0].field.N
-    for i, U in enumerate(spaces):
-        ok, alpha = is_sidon(U)
-        if not ok:
-            return False, (i, i, alpha)
-    S = [_nonzero(U) for U in spaces]
-    for i in range(len(spaces)):
-        for j in range(i + 1, len(spaces)):
-            _, planes = _column_counts([S[i], S[j]], N)
-            hit = _at_least(planes, q, (1 << N) - 1)
-            if hit:
-                return False, (i, j, f.from_idx((hit & -hit).bit_length() - 1))
-    return True, None
-
-
-def orbit_size(U):
-    """N / |stabiliser|, the stabiliser being the a with omega^a U = U."""
-    S, N = _nonzero(U), U.field.N
-    planes, = _column_counts([S], N)
-    stabilizer = _at_least(planes, len(S), (1 << N) - 1).bit_count()
-    return N // stabilizer
-
-
-def orbit(U):
-    """Distinct subspaces alpha*U, in ascending order of the scaling index.
-
-    The stabiliser is a subgroup of Z_N, so omega^a U for a < orbit_size(U)
-    are exactly the distinct scalings.
-    """
-    return [U.scale(U.field.from_idx(a)) for a in range(orbit_size(U))]
 
 
 @dataclass
@@ -254,10 +154,17 @@ class CyclicSubspaceCode:
     field: ExtensionField
     ground_q: int
     representatives: tuple
-    min_distance: int | None = None
 
     def __post_init__(self):
         self.representatives = tuple(self.representatives)
+        for U in self.representatives:
+            if U.field is not self.field:
+                raise SubspaceError("representatives live in different "
+                                    "ambient fields")
+            if U.ground_q != self.ground_q:
+                raise SubspaceError(f"representatives lie over different "
+                                    f"ground fields F_{self.ground_q} and "
+                                    f"F_{U.ground_q}")
         dims = {U.dim for U in self.representatives}
         if len(dims) != 1:
             raise SubspaceError("representatives must have equal dimension")
@@ -266,18 +173,15 @@ class CyclicSubspaceCode:
     def dim(self):
         return self.representatives[0].dim
 
-    @property
-    def orbit_sizes(self):
-        return [orbit_size(U) for U in self.representatives]
-
-    @property
-    def size(self):
-        return sum(self.orbit_sizes)
+    @functools.cached_property
+    def min_distance(self):
+        """code_min_distance(self), swept once per code."""
+        return code_min_distance(self)
 
     def orbits_disjoint(self):
         """No two representatives share an orbit: the distance is 0 exactly
         when U_i = alpha U_j for some i != j."""
-        return len(self.representatives) < 2 or code_min_distance(self) > 0
+        return len(self.representatives) < 2 or self.min_distance > 0
 
     def to_dict(self):
         return {
@@ -456,9 +360,7 @@ def construct_g(q, k, s):
         if not ok:
             raise SubspaceError(f"norm conditions violated: {report}")
     reps = [construct_w(fld, q, k, s, mu, xi) for mu in mus]
-    code = CyclicSubspaceCode(fld, q, tuple(reps))
-    code.min_distance = code_min_distance(code)
-    return code
+    return CyclicSubspaceCode(fld, q, tuple(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +419,6 @@ class CosetFamily:
     entries: tuple          # (subspace index, translate) pairs
     cosets: tuple           # matching tuples of field elements
     t: int
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def build_coset_family(code):

@@ -1,13 +1,21 @@
-"""Shared fixtures and independent oracles for the test suite."""
+"""Shared fixtures, independent oracles and test helpers.
+
+The paper's Sidon, orbit and field-side facts are claims for the tests to
+check, so their checkers live here rather than in the library: is_sidon,
+is_multi_sidon and orbit_size count on the pair loop, and
+check_field_conditions multiplies on the polynomial route.
+"""
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from oocgen import (CosetFamily, CyclicSubspaceCode, VerificationReport,
-                    build_ooc, code_min_distance, construct_g, field_create,
-                    is_sidon, span)
+from oocgen import (CosetFamily, CyclicSubspaceCode, FieldElement, FieldError,
+                    IndexSet, OocError, Subspace, SubspaceError,
+                    VerificationReport, build_ooc, construct_g, field_create,
+                    span)
 from oocgen.field import find_irreducible_factor
 
 
@@ -29,6 +37,11 @@ def pair_difference_counts(X, Y, n):
         for y in Y:
             c[(x - y) % n] += 1
     return c
+
+
+def shift(X, tau):
+    """X + tau in Z_n."""
+    return IndexSet(X.n, frozenset((a + tau) % X.n for a in X.members))
 
 
 def pair_verify_oos(sets, lam):
@@ -70,6 +83,154 @@ def bit_level_ooc_ok(words, lam):
                 if bit_corr(words[i], words[j], tau) > lam:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# field elements
+# ---------------------------------------------------------------------------
+
+def neg(x):
+    """-x.  For odd p, -1 = omega^(N/2), so negation adds N/2 to the index;
+    in characteristic 2, -x = x."""
+    f = x.field
+    if x.idx < 0 or f.p == 2:
+        return x
+    return FieldElement(f, (x.idx + f.N // 2) % f.N)
+
+
+def sub(x, y):
+    """x - y."""
+    return x + neg(y)
+
+
+def inverse(x):
+    """x^-1 for nonzero x: the negated log index."""
+    if x.idx < 0:
+        raise FieldError("zero has no inverse")
+    return FieldElement(x.field, -x.idx % x.field.N)
+
+
+def gaussian_binomial(m, k, q):
+    """Number of k-dimensional subspaces of F_q^m, as an exact integer."""
+    if k < 0 or k > m:
+        return 0
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(q ** (m - i) - 1, q ** (k - i) - 1)
+    if num.denominator != 1:
+        raise FieldError(f"Gaussian binomial [{m} {k}]_{q} is not an integer")
+    return num.numerator
+
+
+def check_field_conditions(fld, w_lists, lam):
+    """Field-side OOS conditions, checked by polynomial multiplication.
+
+    (1) |W_i ∩ alpha W_i| <= lam for alpha outside {0, 1};
+    (2) |W_i ∩ alpha W_j| <= lam for i != j and nonzero alpha.
+    Works on coefficient codes with the field's polynomial-route multiply,
+    independently of the exp/log and Zech tables, so its verdict and
+    verify_oos's on the S(W_i) cross-validate each other.  Returns
+    (ok, witness).
+    """
+    code_sets = []
+    for i, W in enumerate(w_lists):
+        codes = set()
+        for x in W:
+            if x.is_zero():
+                raise OocError(f"W_{i} contains zero")
+            codes.add(x.code)
+        code_sets.append(frozenset(codes))
+    if len(set(code_sets)) != len(code_sets):
+        raise OocError("the W_i must be pairwise distinct")
+    digits, mul, enc = fld._compute_digits, fld._mul_digits, fld._encode
+    digit_sets = [[digits(c) for c in codes] for codes in code_sets]
+    for a in range(2, fld.order):
+        da = digits(a)
+        for i, codes in enumerate(code_sets):
+            scaled = frozenset(enc(mul(da, d)) for d in digit_sets[i])
+            if len(codes & scaled) > lam:
+                return False, {"pair": (i, i), "alpha_code": a,
+                               "value": len(codes & scaled)}
+    for a in range(1, fld.order):
+        da = digits(a)
+        scaled = [frozenset(enc(mul(da, d)) for d in ds) for ds in digit_sets]
+        for i in range(len(code_sets)):
+            for j in range(len(code_sets)):
+                if i == j:
+                    continue
+                overlap = len(code_sets[i] & scaled[j])
+                if overlap > lam:
+                    return False, {"pair": (i, j), "alpha_code": a,
+                                   "value": overlap}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# subspaces: scaling, Sidon, orbits
+# ---------------------------------------------------------------------------
+
+def scaled(U, a):
+    """The subspace omega^a U: basis omega^a b, span shifted by a."""
+    f = U.field
+    alpha = f.from_idx(a)
+    return Subspace(f, U.ground_q, [alpha * b for b in U.basis],
+                    frozenset(-1 if i < 0 else (i + a) % f.N
+                              for i in U.span_idx))
+
+
+def _self_counts(U):
+    """c[a] = |U ∩ omega^a U| - 1 for each a, by the pair loop."""
+    S = [i for i in U.span_idx if i >= 0]
+    return pair_difference_counts(S, S, U.field.N)
+
+
+def is_sidon(U):
+    """Exhaustive Sidon check: dim(U ∩ alpha U) <= 1 for alpha outside F_q.
+
+    Returns (True, None) or (False, witness_alpha) with the smallest witness
+    by log index.  F_q^* is the a divisible by N / (q - 1), and
+    dim(U ∩ omega^a U) >= 2 exactly when 1 + c[a] > q.
+    """
+    f, q = U.field, U.ground_q
+    stride, c = f.subfield(q).stride, _self_counts(U)
+    a = next((a for a in range(f.N) if a % stride and c[a] >= q), None)
+    return (True, None) if a is None else (False, f.from_idx(a))
+
+
+def is_multi_sidon(spaces):
+    """Multi-Sidon check on a family of equal-dimension subspaces.
+
+    dim(U_i ∩ alpha U_j) <= 1 must hold for all nonzero alpha when i != j,
+    and for alpha outside F_q when i = j.  Returns (True, None) or
+    (False, (i, j, alpha)), the lowest i, then j, then log index of alpha.
+    """
+    if len({U.span_idx for U in spaces}) != len(spaces):
+        raise SubspaceError("duplicate subspaces in multi-Sidon input")
+    if len({U.dim for U in spaces}) != 1:
+        raise SubspaceError("multi-Sidon input must have equal dimensions")
+    f, q = spaces[0].field, spaces[0].ground_q
+    for i, U in enumerate(spaces):
+        ok, alpha = is_sidon(U)
+        if not ok:
+            return False, (i, i, alpha)
+    S = [[x for x in U.span_idx if x >= 0] for U in spaces]
+    for i, j in itertools.combinations(range(len(spaces)), 2):
+        c = pair_difference_counts(S[i], S[j], f.N)
+        a = next((a for a in range(f.N) if c[a] >= q), None)
+        if a is not None:
+            return False, (i, j, f.from_idx(a))
+    return True, None
+
+
+def orbit_size(U):
+    """N / |stabiliser|, the stabiliser being the a with omega^a U = U."""
+    c = _self_counts(U)
+    return U.field.N // sum(1 for v in c if v >= len(U.span_idx) - 1)
+
+
+def code_size(code):
+    """Number of codewords: the orbit sizes of the representatives."""
+    return sum(orbit_size(U) for U in code.representatives)
 
 
 def first_irreducible(p, e):
@@ -129,7 +290,7 @@ def _coord_map(emb):
     d, m = emb.degree, f.e // emb.degree
     cols = []
     for j in range(m):
-        wj = f.omega ** j if f.N > 1 else f.one()
+        wj = f.from_idx(j)
         for l in range(d):
             el = wj * emb.generator ** l
             cols.append(f._compute_digits(el.code))
@@ -150,7 +311,7 @@ def subfield_coords(emb, x):
         c = f.zero()
         for l in range(d):
             if b[j * d + l]:
-                c = c + f.from_code(b[j * d + l]) * gen_powers[l]
+                c = c + f.from_idx(f.log[b[j * d + l]]) * gen_powers[l]
         out.append(c)
     return tuple(out)
 
@@ -167,11 +328,12 @@ def _rank(vectors):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
+        inv = inverse(rows[rank][col])
         for r in range(rank + 1, len(rows)):
             if not rows[r][col].is_zero():
                 f = rows[r][col] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                rows[r] = [sub(a, f * b)
+                           for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -187,14 +349,14 @@ def greedy_coset_representatives(U):
     """Oracle for coset_representatives: the first-fit scan that tests each
     omega^a against U and every F_q-multiple of the representatives so far."""
     f, q = U.field, U.ground_q
-    units = f.subfield(q).nonzero_elements()
+    units = f.subfield(q).elements()[1:]
     t = (f.order // q ** U.dim - 1) // (q - 1)
     reps = []
     for a in range(f.N):
         d = f.from_idx(a)
         if d.idx in U.span_idx:
             continue
-        if any((d - lam * r).idx in U.span_idx
+        if any(sub(d, lam * r).idx in U.span_idx
                for r in reps for lam in units):
             continue
         reps.append(d)
@@ -250,6 +412,5 @@ def pipeline_q5():
 def pipeline_q2_sidon():
     U = canonical_sidon_f64()
     code = CyclicSubspaceCode(U.field, 2, (U,))
-    code.min_distance = code_min_distance(code)
     ooc, params, report = build_ooc(code)
     return code, ooc, params, report

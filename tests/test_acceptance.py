@@ -7,11 +7,10 @@ import itertools
 import random
 import time
 
-from oocgen import (CyclicSubspaceCode, check_field_conditions,
-                    code_min_distance, construct_g, construct_w,
-                    field_create, gaussian_binomial, is_sidon, orbit_size,
-                    s_of_w, shift, span, verify_oos)
-from conftest import bit_level_ooc_ok, bits
+from oocgen import (CyclicSubspaceCode, code_min_distance, construct_g,
+                    construct_w, field_create, s_of_w, span, verify_oos)
+from conftest import (bit_level_ooc_ok, bits, check_field_conditions,
+                      gaussian_binomial, inverse, is_sidon, orbit_size, shift)
 
 
 def _report(name, detail):
@@ -119,7 +118,7 @@ def test_criterion_6_log_shift_property():
              rng.sample(range(-1, 80), rng.randrange(1, 8))]
         alpha = f.from_idx(rng.randrange(80))
         scaled = [alpha * x for x in W]
-        assert s_of_w(f, scaled) == shift(s_of_w(f, W), f.dlog(alpha))
+        assert s_of_w(f, scaled) == shift(s_of_w(f, W), alpha.idx)
     _report("criterion 6", "S(alpha W) = S(W) + dlog(alpha) on 100 random "
                            "(W, alpha)")
 
@@ -140,8 +139,8 @@ def test_criterion_7_negative_controls(pipeline_q3):
     beta = f.from_idx(29)
     ok, wit = check_field_conditions(f, [W, [beta * x for x in W]], 3)
     assert not ok
-    alpha = f.from_code(wit["alpha_code"])
-    assert alpha in (beta, beta.inverse())
+    alpha = f.from_idx(f.log[wit["alpha_code"]])
+    assert alpha in (beta, inverse(beta))
     assert wit["value"] == 4
     # (c) lowering lambda by one flips the q=3 pipeline to fail with value 3
     _, ooc, _, _ = pipeline_q3

@@ -300,15 +300,18 @@ def test_construct_code_file_bad_field_entry_is_data_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bases,message", [
-    ([[], []], "not pairwise disjoint"),     # two orbits of {0}
-    ([[]], "undefined"),                     # one orbit of {0}
-    ([[0, 1, 2, 3]], "undefined"),           # the whole of F_81
+    ([(2, []), (2, [])], "not pairwise disjoint"),   # two orbits of {0}
+    ([(2, [])], "undefined"),                        # one orbit of {0}
+    ([(2, [0, 1, 2, 3, 4, 5])], "undefined"),        # the whole of F_64
+    # two dimension-2 orbits, one over F_2 and one over F_4
+    ([(2, [0, 1]), (4, [0, 1])], "ground fields F_2 and F_4"),
+    ([(4, [0, 1]), (2, [0, 1])], "ground fields F_4 and F_2"),
 ])
 def test_construct_code_file_degenerate_orbits_are_data_error(
         tmp_path, capsys, bases, message):
-    F81 = field_create(3, 4)
-    code = {"field": F81.descriptor(),
-            "orbits": [{"ground_q": 3, "basis": b} for b in bases]}
+    F64 = field_create(2, 6)
+    code = {"field": F64.descriptor(),
+            "orbits": [{"ground_q": q, "basis": b} for q, b in bases]}
     path = tmp_path / "code.json"
     path.write_text(json.dumps(code))
     assert main(["construct", "--code", str(path),

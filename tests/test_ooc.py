@@ -7,15 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
-from oocgen import (IndexSet, OocCode, OocError, autocorr_max, build_ooc,
-                    check_field_conditions, construct_g, crosscorr_max,
-                    field_create, johnson_bound, optimality_ratio,
-                    params_table, s_of_w, shift, verify_oos)
+from oocgen import (IndexSet, OocCode, OocError, construct_g, field_create,
+                    johnson_bound, optimality_ratio, params_table, s_of_w,
+                    verify_oos)
 from oocgen import ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _at_least, _column_counts, _peak
-from conftest import (bit_corr, bit_level_ooc_ok, bits, pair_difference_counts,
-                      pair_verify_oos)
+from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
+                      inverse, pair_difference_counts, pair_verify_oos, shift)
 
 
 F81 = field_create(3, 4)
@@ -76,7 +75,8 @@ def test_s_of_w_examples():
     assert s_of_w(F81, [F81.one()]).members == {0}
     assert s_of_w(F81, [F81.from_idx(3), F81.from_idx(7)]).members == {3, 7}
     # zero is silently dropped (W^* convention)
-    assert s_of_w(F81, [F81.zero(), F81.one(), F81.omega]).members == {0, 1}
+    assert s_of_w(F81, [F81.zero(), F81.one(),
+                        F81.from_idx(1)]).members == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +96,46 @@ def test_shift_matches_field_scaling():
         W = [F81.from_idx(i) for i in rng.sample(range(80), 6)]
         alpha = F81.from_idx(rng.randrange(80))
         scaled = [alpha * x for x in W]
-        assert s_of_w(F81, scaled) == shift(s_of_w(F81, W), F81.dlog(alpha))
+        assert s_of_w(F81, scaled) == shift(s_of_w(F81, W), alpha.idx)
 
 
 # ---------------------------------------------------------------------------
 # correlation maxima
 # ---------------------------------------------------------------------------
 
+# The correlation maxima are read off the kernel's planes directly:
+# |X ∩ (X + tau)| for 0 < tau < n from the column of [X], and
+# |X ∩ (Y + tau)| for 0 <= tau < n from block 0 of the column [X, Y].
+
+def _auto_peak(X):
+    planes, = _column_counts([X.members], X.n)
+    return _peak(planes, (1 << X.n) - 2)
+
+
+def _cross_peak(X, Y):
+    _, planes = _column_counts([X.members, Y.members], X.n)
+    return _peak(planes, (1 << X.n) - 1)
+
+
 def test_autocorr_singleton():
-    assert autocorr_max(IndexSet(8, frozenset({3})))[0] == 0
+    assert _auto_peak(IndexSet(8, frozenset({3})))[0] == 0
 
 
 def test_autocorr_full_set():
-    v, _ = autocorr_max(IndexSet(6, frozenset(range(6))))
+    v, _ = _auto_peak(IndexSet(6, frozenset(range(6))))
     assert v == 6
 
 
 def test_autocorr_example_z4():
-    v, tau = autocorr_max(IndexSet(4, frozenset({0, 1})))
+    v, tau = _auto_peak(IndexSet(4, frozenset({0, 1})))
     assert v == 1 and tau == 1
+    report = verify_oos([IndexSet(4, frozenset({0, 1}))], 1)
+    assert report.witnesses == [{"kind": "auto", "word": 0, "tau": 1,
+                                 "value": 1}]
 
 
 def test_crosscorr_singletons():
-    v, tau = crosscorr_max(IndexSet(2, frozenset({0})),
+    v, tau = _cross_peak(IndexSet(2, frozenset({0})),
                            IndexSet(2, frozenset({1})))
     assert v == 1
 
@@ -127,7 +144,8 @@ def test_crosscorr_example_z5_vs_bit_oracle():
     X, Y = IndexSet(5, frozenset({0, 1})), IndexSet(5, frozenset({0, 2}))
     xb, yb = bits(X), bits(Y)
     oracle = max(bit_corr(xb, yb, tau) for tau in range(5))
-    assert crosscorr_max(X, Y)[0] == oracle
+    assert _cross_peak(X, Y)[0] == oracle
+    assert verify_oos([X, Y], 2).max_cross == oracle
 
 
 def test_crosscorr_symmetric():
@@ -137,12 +155,12 @@ def test_crosscorr_symmetric():
         Y = IndexSet(17, frozenset(rng.sample(range(17), 4)))
         if X.members == Y.members:
             continue
-        assert crosscorr_max(X, Y)[0] == crosscorr_max(Y, X)[0]
+        assert _cross_peak(X, Y)[0] == _cross_peak(Y, X)[0]
 
 
 def test_crosscorr_of_equal_sets_is_weight_at_zero():
     X = IndexSet(5, frozenset({1, 2}))
-    assert crosscorr_max(X, IndexSet(5, frozenset({1, 2}))) == (2, 0)
+    assert _cross_peak(X, IndexSet(5, frozenset({1, 2}))) == (2, 0)
 
 
 @st.composite
@@ -177,15 +195,15 @@ def test_difference_counts_match_bit_oracle(pair):
     cross = [bit_corr(yb, xb, tau) for tau in range(n)]
     assert _counts(X.members, Y.members, n) == cross
     best = max(cross)
-    assert crosscorr_max(X, Y) == (best, min(t for t in range(n)
+    assert _cross_peak(X, Y) == (best, min(t for t in range(n)
                                             if cross[t] == best))
     auto = {tau: bit_corr(xb, xb, tau) for tau in range(1, n)}
     if auto:
         best = max(auto.values())
-        assert autocorr_max(X) == (best, min(t for t in auto
+        assert _auto_peak(X) == (best, min(t for t in auto
                                              if auto[t] == best))
     else:
-        assert autocorr_max(X) == (0, None)
+        assert _auto_peak(X) == (0, None)
 
 
 @st.composite
@@ -414,8 +432,8 @@ def test_field_conditions_dilated_pair_fails():
     assert not ok
     assert wit["value"] == 5
     # the witness alpha is exactly a dilation carrying one set onto the other
-    alpha = F81.from_code(wit["alpha_code"])
-    assert alpha in (beta, beta.inverse())
+    alpha = F81.from_idx(F81.log[wit["alpha_code"]])
+    assert alpha in (beta, inverse(beta))
 
 
 def test_field_conditions_reject_zero():

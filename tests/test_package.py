@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,8 @@ import oocgen
 from test_golden import ARTEFACTS, GOLDEN
 
 SRC = pathlib.Path(oocgen.__file__).parent
+PIPELINES = (pathlib.Path(__file__).resolve().parents[1]
+             / "perfbench" / "pipelines.py")
 
 
 def _env():
@@ -54,3 +57,21 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_pipelines_run_on_the_library(tmp_path):
+    # the benchmark harness imports and calls library names; a deletion
+    # that breaks one must fail here, not only in the harness's self-test
+    for mode in (["trace", "construct", "3", "2", "1", "spans.json"],
+                 ["trace", "verify", "out.ooc", "spans2.json"],
+                 ["run", "design", "3", "2", "1"],
+                 ["cli", "spans3.json", "construct", "--q", "3", "--k", "2",
+                  "--s", "1", "--out", "c"]):
+        run = subprocess.run([sys.executable, str(PIPELINES), *mode],
+                             cwd=tmp_path, env=_env(), capture_output=True,
+                             text=True)
+        assert run.returncode == 0, (mode, run.stderr)
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    assert spans["result"]["sha256"] == GOLDEN[(3, 2)]
+    cli_run = json.loads((tmp_path / "spans3.json").read_text())["result"]
+    assert cli_run["exit"] == 0

@@ -1,4 +1,8 @@
-"""Subspaces, Sidon certification, orbits, constructions, coset families."""
+"""Subspaces, Sidon certification, orbits, constructions, coset families.
+
+The Sidon, multi-Sidon and orbit checks are the pair-loop helpers in
+conftest; the library's own sweep is code_min_distance.
+"""
 
 import itertools
 import random
@@ -7,14 +11,15 @@ from fractions import Fraction
 import pytest
 
 from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
-                    code_min_distance, construct_g, construct_w,
-                    coset_representatives, dim_intersection, field_create,
-                    gaussian_binomial, is_multi_sidon, is_sidon, orbit,
-                    orbit_size, span, subspace_distance, validate_multi_orbit)
-from oocgen import subspaces
+                    build_ooc, code_min_distance, construct_g, construct_w,
+                    coset_representatives, field_create, span,
+                    validate_multi_orbit)
+from oocgen import ooc, subspaces
 from oocgen.subspaces import Subspace, _log_exact
-from conftest import (canonical_sidon_f64, field_coset_family,
-                      greedy_coset_representatives, rank_dim_intersection)
+from conftest import (canonical_sidon_f64, code_size, field_coset_family,
+                      gaussian_binomial, greedy_coset_representatives,
+                      is_multi_sidon, is_sidon, orbit_size,
+                      rank_dim_intersection, scaled, sub)
 
 
 F81 = field_create(3, 4)
@@ -35,12 +40,13 @@ def test_span_empty():
 
 
 def test_span_two_independent():
-    U = span(F81, [F81.one(), F81.omega], 3)
+    omega = F81.from_idx(1)
+    U = span(F81, [F81.one(), omega], 3)
     assert U.dim == 2
     assert len(U.span_idx) == 9
     # oracle: enumerate all 9 F_3-combinations directly
-    combos = {(F81.from_code(a) * F81.one()
-               + F81.from_code(b) * F81.omega).idx
+    combos = {(F81.from_idx(F81.log[a]) * F81.one()
+               + F81.from_idx(F81.log[b]) * omega).idx
               for a in range(3) for b in range(3)}
     assert combos == U.span_idx
 
@@ -52,25 +58,21 @@ def test_span_reduces_dependent_input():
 
 
 # ---------------------------------------------------------------------------
-# intersection and distance
+# intersections, ground fields and subspace sizes
 # ---------------------------------------------------------------------------
 
-def test_dim_intersection_self():
-    U = _subspace(F81, [0, 1], 3)
-    assert dim_intersection(U, U) == U.dim
+# rank_dim_intersection is the reference in the distance sweep's test
+# below; it must agree with the intersection of the cached spans
 
-
-def test_distinct_lines_meet_in_zero():
-    U = _subspace(F81, [0], 3)
-    V = _subspace(F81, [1], 3)
-    assert dim_intersection(U, V) == 0
+def _span_dim_intersection(U, V):
+    return _log_exact(len(U.span_idx & V.span_idx), U.ground_q)
 
 
 def test_dim_intersection_subfield_vs_scaled():
     emb = F81.subfield(9)
     U = span(F81, emb.elements(), 3)
-    V = U.scale(F81.omega)
-    assert dim_intersection(U, V) == rank_dim_intersection(U, V)
+    V = scaled(U, 1)
+    assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
 
 def test_dim_intersection_random_vs_rank_oracle():
@@ -78,7 +80,7 @@ def test_dim_intersection_random_vs_rank_oracle():
     for _ in range(40):
         U = _subspace(F81, rng.sample(range(80), 2), 3)
         V = _subspace(F81, rng.sample(range(80), 2), 3)
-        assert dim_intersection(U, V) == rank_dim_intersection(U, V)
+        assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
 
 def test_log_exact_rejects_non_power():
@@ -87,44 +89,18 @@ def test_log_exact_rejects_non_power():
         _log_exact(10, 3)
 
 
-def _random_dim2(rng):
-    while True:
-        U = _subspace(F81, rng.sample(range(80), 2), 3)
-        if U.dim == 2:
-            return U
-
-
-def test_subspace_distance_properties():
-    rng = random.Random(4)
-    for _ in range(25):
-        U = _random_dim2(rng)
-        V = _random_dim2(rng)
-        W = _random_dim2(rng)
-        duv = subspace_distance(U, V)
-        assert duv == subspace_distance(V, U)
-        assert duv % 2 == 0
-        assert (duv == 0) == (U == V)
-        assert duv <= subspace_distance(U, W) + subspace_distance(W, V)
-
-
-def test_distance_of_disjoint_subspaces():
-    U = _subspace(F81, [0, 1], 3)
-    found = False
-    for i, j in itertools.combinations(range(80), 2):
-        V = _subspace(F81, [i, j], 3)
-        if V.dim == 2 and len(U.span_idx & V.span_idx) == 1:
-            assert subspace_distance(U, V) == 4
-            found = True
-            break
-    assert found
-
-
 def test_mismatched_fields_rejected():
     f16 = field_create(2, 4)
     U = _subspace(F81, [0], 3)
     V = _subspace(f16, [0], 2)
-    with pytest.raises(SubspaceError):
-        dim_intersection(U, V)
+    with pytest.raises(SubspaceError, match="different ambient fields"):
+        CyclicSubspaceCode(F81, 3, (U, V))
+    # the same dimension over F_9 and over F_3
+    W = _subspace(F81, [0], 9)
+    with pytest.raises(SubspaceError, match="ground fields F_3 and F_9"):
+        CyclicSubspaceCode(F81, 3, (U, W))
+    with pytest.raises(SubspaceError, match="ground fields F_9 and F_3"):
+        CyclicSubspaceCode(F81, 9, (W, U))
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +136,14 @@ def test_multi_sidon_singleton(pipeline_q3):
 
 def test_multi_sidon_rejects_proportional_pair():
     U = _subspace(F81, [0, 1], 3)
-    V = U.scale(F81.omega)
+    V = scaled(U, 1)
     ok, wit = is_multi_sidon([U, V])
     assert not ok
     i, j, alpha = wit
     spaces = [U, V]
     # the witness exhibits an overlap of dimension >= 2
-    assert len(spaces[i].span_idx & spaces[j].scale(alpha).span_idx) >= 9
+    overlap = spaces[i].span_idx & scaled(spaces[j], alpha.idx).span_idx
+    assert len(overlap) >= 9
 
 
 def test_multi_sidon_construction(pipeline_q5):
@@ -189,21 +166,20 @@ def test_orbit_of_whole_field():
     U = span(F81, [F81.from_idx(i) for i in range(80)], 3)
     assert U.dim == 4
     assert orbit_size(U) == 1
-    assert len(orbit(U)) == 1
 
 
 def test_orbit_of_subfield():
     U = span(F81, F81.subfield(9).elements(), 3)
     assert orbit_size(U) == 80 // 8  # stabilizer F_9^*
-    assert len(orbit(U)) == 10
 
 
 def test_orbit_of_sidon_space_is_full_length(pipeline_q3):
     code, _, _, _ = pipeline_q3
-    assert orbit_size(code.representatives[0]) == 80 // 2
-    orb = orbit(code.representatives[0])
-    assert len(orb) == 40
-    assert len({V.span_idx for V in orb}) == 40
+    U = code.representatives[0]
+    assert orbit_size(U) == 80 // 2
+    # omega^a U for a < orbit_size(U) are distinct; omega^40 U = U
+    assert len({scaled(U, a).span_idx for a in range(40)}) == 40
+    assert scaled(U, 40).span_idx == U.span_idx
 
 
 def test_orbit_size_formula():
@@ -226,8 +202,9 @@ def test_code_min_distance_vs_full_pair_sweep():
     f16 = field_create(2, 4)
     U = span(f16, f16.subfield(4).elements(), 2)
     code = CyclicSubspaceCode(f16, 2, (U,))
-    orb = {U.scale(f16.from_idx(a)) for a in range(f16.N)}
-    assert len(orb) == len(orbit(U)) == orbit_size(U)
+    orb = {V.span_idx: V for V in (scaled(U, a) for a in range(f16.N))}
+    orb = list(orb.values())
+    assert len(orb) == orbit_size(U)
     oracle = min(
         V1.dim + V2.dim - 2 * rank_dim_intersection(V1, V2)
         for V1, V2 in itertools.combinations(orb, 2))
@@ -254,9 +231,30 @@ def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
 
     monkeypatch.setattr(subspaces, "_column_counts", counting)
     for code in (pipeline_q3[0], pipeline_q5[0]):
+        d = code.min_distance
         calls.clear()
-        assert code_min_distance(code) == code.min_distance
+        assert code_min_distance(code) == d
         assert calls == [len(code.representatives)]  # r = 1, then r = 2
+
+
+def test_construct_sweeps_orbit_pairs_once(monkeypatch):
+    # the distance is counted once per code: build_ooc and the coset
+    # family's disjointness check read it, and verify_oos counts the words
+    calls = []
+    real = subspaces._column_counts
+
+    def counting(sets, n):
+        sets = list(sets)
+        calls.append(len(sets))
+        return real(sets, n)
+
+    monkeypatch.setattr(subspaces, "_column_counts", counting)
+    monkeypatch.setattr(ooc, "_column_counts", counting)
+    code = construct_g(7, 2, 1)
+    _, params, _ = build_ooc(code)
+    assert calls == [3, 24]  # r = 3 orbits, then r * t = 24 words
+    assert params.lam == 7 ** (2 - code.min_distance // 2)
+    assert code.orbits_disjoint() and calls == [3, 24]
 
 
 def test_min_distance_single_subspace_rejected():
@@ -286,7 +284,7 @@ def test_bad_norm_pair_lowers_distance():
     assert report[0]["condition"] == "equal norms"
     U1 = construct_w(f, 5, 2, 1, mus[0], xi)
     U2 = construct_w(f, 5, 2, 1, mus[1], xi)
-    assert U1 != U2
+    assert U1.span_idx != U2.span_idx
     code = CyclicSubspaceCode(f, 5, (U1, U2))
     assert (not code.orbits_disjoint()
             or code_min_distance(code) < 2)
@@ -311,8 +309,8 @@ def test_construct_w_gcd_degenerate_not_sidon():
               if not x.is_zero() and not emb.contains(x)
               and not (F81.one() + x).is_zero())
     U = construct_w(F81, 3, 2, 2, F81.one(), xi)
-    scaled_subfield = span(F81, emb.elements(), 3).scale(F81.one() + xi)
-    assert U == scaled_subfield
+    subfield = span(F81, emb.elements(), 3)
+    assert U.span_idx == scaled(subfield, (F81.one() + xi).idx).span_idx
     ok, wit = is_sidon(U)
     assert not ok and wit is not None
 
@@ -323,7 +321,7 @@ def test_construct_w_basis_is_what_span_picks():
     xi = next(x for x in F81.iter_elements()
               if not x.is_zero() and not emb.contains(x))
     checked = 0
-    for mu in emb.nonzero_elements():
+    for mu in emb.elements()[1:]:
         try:
             U = construct_w(F81, 3, 2, 1, mu, xi)
         except SubspaceError:
@@ -374,20 +372,20 @@ def test_validate_multi_orbit_valid_pair():
 def test_validate_multi_orbit_wrong_extension_rejected():
     f = field_create(3, 4)
     with pytest.raises(SubspaceError):
-        validate_multi_orbit(f, 3, 3, [f.one()], f.omega)
+        validate_multi_orbit(f, 3, 3, [f.one()], f.from_idx(1))
 
 
 def test_construct_g_q3(pipeline_q3):
     code, _, _, _ = pipeline_q3
     assert len(code.representatives) == 1
-    assert code.size == 40
+    assert code_size(code) == 40
     assert code.min_distance == 2
 
 
 def test_construct_g_q5(pipeline_q5):
     code, _, _, _ = pipeline_q5
     assert len(code.representatives) == 2
-    assert code.size == 2 * 624 // 4
+    assert code_size(code) == 2 * 624 // 4
     assert code.orbits_disjoint()
 
 
@@ -418,10 +416,10 @@ def test_coset_representatives_q3(pipeline_q3):
     U = code.representatives[0]
     reps = coset_representatives(U)
     assert len(reps) == 4  # (3^2 - 1)/2
-    units = F81.subfield(3).nonzero_elements()
+    units = F81.subfield(3).elements()[1:]
     for d1, d2 in itertools.combinations(reps, 2):
         for lam in units:
-            assert (d1 - lam * d2).idx not in U.span_idx
+            assert sub(d1, lam * d2).idx not in U.span_idx
     for d in reps:
         assert d.idx not in U.span_idx
 
@@ -493,7 +491,7 @@ def test_coset_family_scalings_partition_nonzero_field(case):
     # pairwise disjoint and cover F^* exactly
     for code in _family_codes(case):
         f, q = code.field, code.ground_q
-        units = [lam.idx for lam in f.subfield(q).nonzero_elements()]
+        units = [lam.idx for lam in f.subfield(q).elements()[1:]]
         fam = build_coset_family(code)
         for i, U in enumerate(code.representatives):
             marked = [x for x in U.span_idx if x >= 0]
@@ -507,7 +505,7 @@ def test_coset_family_scalings_partition_nonzero_field(case):
 def test_coset_family_q3(pipeline_q3):
     code, _, _, _ = pipeline_q3
     fam = build_coset_family(code)
-    assert len(fam) == 4
+    assert len(fam.entries) == 4
     for coset in fam.cosets:
         assert len(coset) == 9
         assert all(not x.is_zero() for x in coset)
@@ -518,7 +516,7 @@ def test_coset_family_q3(pipeline_q3):
 
 def test_scaled_pair_orbits_are_not_disjoint():
     U = _subspace(F81, [0, 1], 3)
-    code = CyclicSubspaceCode(F81, 3, (U, U.scale(F81.from_idx(5))))
+    code = CyclicSubspaceCode(F81, 3, (U, scaled(U, 5)))
     assert not code.orbits_disjoint()
     with pytest.raises(SubspaceError):
         build_coset_family(code)
@@ -527,7 +525,7 @@ def test_scaled_pair_orbits_are_not_disjoint():
 def test_coset_family_q5_count(pipeline_q5):
     code, _, _, _ = pipeline_q5
     fam = build_coset_family(code)
-    assert len(fam) == 12  # 2 * (25-1)/4
+    assert len(fam.entries) == 12  # 2 * (25-1)/4
 
 
 def test_proposition_intersection_bounds(pipeline_q3):
