@@ -39,6 +39,11 @@ def _write_all(prefix, writes):
 
 def _cmd_construct(args):
     if args.code:
+        given = [f"--{o}" for o in "qks" if getattr(args, o) is not None]
+        if given:
+            print(f"construct takes --code or --q --k --s, not both: got "
+                  f"--code with {' '.join(given)}", file=sys.stderr)
+            return 2
         with open(args.code) as f:
             code = code_from_dict(json.load(f))
     else:

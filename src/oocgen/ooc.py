@@ -1,7 +1,7 @@
 """Optical orthogonal codes: index sets, correlation checks and bounds.
 
-The translation layer maps field subsets to subsets of Z_N through discrete
-logs.  A codeword is its support, an IndexSet; the binary word is only how
+The translation layer takes each field subset W^* as its log indices, S(W).
+A codeword is its support, an IndexSet; the binary word is only how
 the bits file prints it.  Correlation maxima are exact: they come from the
 package's one counting kernel, subspaces._column_counts, which stacks the
 words' doubled indicators in one big integer and adds its shifts into
@@ -67,8 +67,9 @@ def unsupport(X, n):
 
 
 def s_of_w(fld, W):
-    """S(W) = {i : omega^i in W}; zero is silently excluded (W^* convention)."""
-    return IndexSet(fld.N, frozenset(x.idx for x in W if not x.is_zero()))
+    """S(W) = {i : omega^i in W} from W^*'s log indices, not copied if a
+    frozenset; zero (index -1) is out of range, an OocError."""
+    return IndexSet(fld.N, frozenset(W))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +212,7 @@ def build_ooc(code):
     w = q ** k
     lam = q ** (k - d // 2)
     sets = [s_of_w(fld, coset) for coset in family.cosets]
-    r = len(code.representatives)
-    size = r * family.t
-    if len(sets) != size:
-        raise OocError(f"coset family has {len(sets)} sets, expected {size}")
+    size = len(sets)
     report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)

@@ -20,8 +20,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .field import (ExtensionField, FieldElement, factor_prime_power,
-                    field_from_descriptor, field_for_prime_power)
+from .field import (ExtensionField, factor_prime_power, field_from_descriptor,
+                    field_for_prime_power)
 
 
 class SubspaceError(ValueError):
@@ -405,33 +405,25 @@ def _coset_scan(U):
 
 
 def coset_representatives(U):
-    """Pairwise non-F_q-proportional representatives of F_{q^m}/U, from the
-    log-domain covering scan: exactly t = (q^{m-k} - 1)/(q - 1) elements,
-    none in U, no two of which differ by an F_q-multiple modulo U."""
-    return [U.field.from_idx(a) for a, _ in _coset_scan(U)]
+    """Log indices a of pairwise non-F_q-proportional representatives omega^a
+    of F_{q^m}/U, from the covering scan: exactly t = (q^{m-k} - 1)/(q - 1),
+    none in U, no two differing by an F_q-multiple modulo U."""
+    return [a for a, _ in _coset_scan(U)]
 
 
 @dataclass
 class CosetFamily:
-    """The affine family {U_i + d_{i,j}} built from a code's representatives."""
+    """The affine family {U_i + omega^a}: each coset W^* as the frozenset of
+    its log indices, grouped by U_i in order, each group in scan order."""
 
-    code: CyclicSubspaceCode
-    entries: tuple          # (subspace index, translate) pairs
-    cosets: tuple           # matching tuples of field elements
-    t: int
+    cosets: tuple
 
 
 def build_coset_family(code):
-    """The cosets U_i + d of every representative U_i, each d from one
-    log-domain covering scan, as sorted tuples of field elements."""
+    """The cosets U_i + omega^a of every representative U_i, each a from
+    one log-domain covering scan, as frozensets of log indices."""
     if not code.orbits_disjoint():
         raise SubspaceError("code orbits are not pairwise disjoint")
-    f = code.field
-    entries = []
-    cosets = []
-    for i, U in enumerate(code.representatives):
-        for a, coset in _coset_scan(U):
-            entries.append((i, FieldElement(f, a)))
-            cosets.append(tuple([FieldElement(f, j) for j in sorted(coset)]))
-    t = len(entries) // len(code.representatives)
-    return CosetFamily(code, tuple(entries), tuple(cosets), t)
+    return CosetFamily(tuple(frozenset(coset)
+                             for U in code.representatives
+                             for _, coset in _coset_scan(U)))

@@ -347,7 +347,8 @@ def rank_dim_intersection(U, V):
 
 def greedy_coset_representatives(U):
     """Oracle for coset_representatives: the first-fit scan that tests each
-    omega^a against U and every F_q-multiple of the representatives so far."""
+    omega^a against U and every F_q-multiple of the representatives so far,
+    by field subtraction; returns the representatives' log indices."""
     f, q = U.field, U.ground_q
     units = f.subfield(q).elements()[1:]
     t = (f.order // q ** U.dim - 1) // (q - 1)
@@ -362,21 +363,21 @@ def greedy_coset_representatives(U):
         reps.append(d)
         if len(reps) == t:
             break
-    return reps
+    return [d.idx for d in reps]
 
 
 def field_coset_family(code):
-    """Oracle for build_coset_family: each U_i's greedy representatives d
-    and each coset as sorted(u + d for u in U_i) by field addition."""
-    entries, cosets = [], []
-    for i, U in enumerate(code.representatives):
-        reps = greedy_coset_representatives(U)
-        members = [U.field.from_idx(x) for x in U.span_idx]
-        for d in reps:
-            entries.append((i, d))
-            cosets.append(tuple(sorted((u + d for u in members),
-                                       key=lambda x: x.idx)))
-    return CosetFamily(code, tuple(entries), tuple(cosets), len(reps))
+    """Oracle for build_coset_family: for each U_i and each of its greedy
+    representatives d, the coset {u + d : u in U_i} by field addition, as
+    the frozenset of its members' log indices."""
+    cosets = []
+    for U in code.representatives:
+        f = U.field
+        members = [f.from_idx(x) for x in U.span_idx]
+        for a in greedy_coset_representatives(U):
+            d = f.from_idx(a)
+            cosets.append(frozenset((u + d).idx for u in members))
+    return CosetFamily(tuple(cosets))
 
 
 def canonical_sidon_f64():

@@ -86,7 +86,9 @@ def test_criterion_5_field_vs_set_equivalence(pipeline_q3, pipeline_q5):
     for (code, _, params, _) in (pipeline_q3, pipeline_q5):
         fam = build_coset_family(code)
         fld = code.field
-        field_ok, _ = check_field_conditions(fld, fam.cosets, params.lam)
+        field_ok, _ = check_field_conditions(
+            fld, [[fld.from_idx(i) for i in W] for W in fam.cosets],
+            params.lam)
         set_ok = verify_oos([s_of_w(fld, W) for W in fam.cosets],
                             params.lam).passed
         assert field_ok == set_ok == True
@@ -98,11 +100,12 @@ def test_criterion_5_field_vs_set_equivalence(pipeline_q3, pipeline_q5):
         t = rng.randrange(1, 4)
         fams = []
         while len(fams) < t:
-            W = [f.from_idx(i) for i in rng.sample(range(80), w)]
-            if all({x.idx for x in W} != {x.idx for x in V} for V in fams):
+            W = frozenset(rng.sample(range(80), w))
+            if W not in fams:
                 fams.append(W)
         lam = rng.randrange(1, 5)
-        field_ok, _ = check_field_conditions(f, fams, lam)
+        field_ok, _ = check_field_conditions(
+            f, [[f.from_idx(i) for i in W] for W in fams], lam)
         set_ok = verify_oos([s_of_w(f, W) for W in fams], lam).passed
         assert field_ok == set_ok
         checked += 1
@@ -114,10 +117,9 @@ def test_criterion_6_log_shift_property():
     f = field_create(3, 4)
     rng = random.Random(6)
     for _ in range(100):
-        W = [f.from_idx(i) for i in
-             rng.sample(range(-1, 80), rng.randrange(1, 8))]
+        W = rng.sample(range(80), rng.randrange(1, 8))  # W^*, log indices
         alpha = f.from_idx(rng.randrange(80))
-        scaled = [alpha * x for x in W]
+        scaled = [(alpha * f.from_idx(i)).idx for i in W]
         assert s_of_w(f, scaled) == shift(s_of_w(f, W), alpha.idx)
     _report("criterion 6", "S(alpha W) = S(W) + dlog(alpha) on 100 random "
                            "(W, alpha)")

@@ -269,6 +269,22 @@ def _sidon_code_dict():
     return CyclicSubspaceCode(U.field, 2, (U,)).to_dict()
 
 
+@pytest.mark.parametrize("extra", [["--q", "3"], ["--k", "2"], ["--s", "1"],
+                                   ["--q", "3", "--k", "2", "--s", "1"]])
+def test_construct_code_file_with_q_k_s_is_usage_error(tmp_path, capsys,
+                                                        extra):
+    # --code and --q/--k/--s name two different codes; neither may be
+    # silently dropped
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(_sidon_code_dict()))
+    out = tmp_path / "out"
+    assert main(["construct", "--code", str(path), *extra,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--code" in err and extra[0] in err
+    assert not list(tmp_path.glob("out.*"))
+
+
 @pytest.mark.parametrize("key", ["field", "orbits", "ground_q", "basis"])
 def test_construct_code_file_missing_key_is_data_error(tmp_path, capsys, key):
     code = _sidon_code_dict()

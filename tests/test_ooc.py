@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
-from oocgen import (IndexSet, OocCode, OocError, construct_g, field_create,
-                    johnson_bound, optimality_ratio, params_table, s_of_w,
-                    verify_oos)
+from oocgen import (FieldElement, IndexSet, OocCode, OocError, build_ooc,
+                    construct_g, field_create, johnson_bound,
+                    optimality_ratio, params_table, s_of_w, verify_oos)
 from oocgen import ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _at_least, _column_counts, _peak
@@ -72,11 +72,14 @@ def test_unsupport_rejects_out_of_range():
 
 
 def test_s_of_w_examples():
-    assert s_of_w(F81, [F81.one()]).members == {0}
-    assert s_of_w(F81, [F81.from_idx(3), F81.from_idx(7)]).members == {3, 7}
-    # zero is silently dropped (W^* convention)
-    assert s_of_w(F81, [F81.zero(), F81.one(),
-                        F81.from_idx(1)]).members == {0, 1}
+    assert s_of_w(F81, [0]).members == {0}
+    assert s_of_w(F81, [3, 7]).members == {3, 7}
+    # a coset's frozenset of log indices is taken as it is, not copied
+    W = frozenset({1, 5, 40})
+    assert s_of_w(F81, W).members is W
+    # W^* holds no zero: its log index -1 is out of range
+    with pytest.raises(OocError):
+        s_of_w(F81, [-1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +96,9 @@ def test_shift_group_action(members, tau):
 def test_shift_matches_field_scaling():
     rng = random.Random(6)
     for _ in range(20):
-        W = [F81.from_idx(i) for i in rng.sample(range(80), 6)]
+        W = rng.sample(range(80), 6)
         alpha = F81.from_idx(rng.randrange(80))
-        scaled = [alpha * x for x in W]
+        scaled = [(alpha * F81.from_idx(i)).idx for i in W]
         assert s_of_w(F81, scaled) == shift(s_of_w(F81, W), alpha.idx)
 
 
@@ -448,11 +451,12 @@ def test_field_conditions_agree_with_set_level():
         t = rng.randrange(1, 3)
         fams = []
         while len(fams) < t:
-            W = [F81.from_idx(i) for i in rng.sample(range(80), w)]
-            if all({x.idx for x in W} != {x.idx for x in V} for V in fams):
+            W = frozenset(rng.sample(range(80), w))
+            if W not in fams:
                 fams.append(W)
         lam = rng.randrange(1, 4)
-        field_ok, _ = check_field_conditions(F81, fams, lam)
+        field_ok, _ = check_field_conditions(
+            F81, [[F81.from_idx(i) for i in W] for W in fams], lam)
         set_ok = verify_oos([s_of_w(F81, W) for W in fams], lam).passed
         assert field_ok == set_ok
 
@@ -522,6 +526,23 @@ def test_build_ooc_q3_bit_oracle(pipeline_q3):
     words = [bits(cw) for cw in ooc.codewords]
     assert bit_level_ooc_ok(words, params.lam)
     assert not bit_level_ooc_ok(words, params.lam - 1)
+
+
+def test_build_ooc_makes_no_field_element(monkeypatch):
+    # once construct_g has chosen the subspaces, a field subset is its log
+    # indices: the coset scan, S(W) and the verify make no FieldElement
+    code = construct_g(3, 2, 1)
+    calls = []
+    init = FieldElement.__init__
+
+    def spy(self, field, idx):
+        calls.append(idx)
+        init(self, field, idx)
+
+    monkeypatch.setattr(FieldElement, "__init__", spy)
+    ooc, _, _ = build_ooc(code)
+    assert len(ooc.codewords) == 4
+    assert calls == []
 
 
 def test_params_table():

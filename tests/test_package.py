@@ -12,8 +12,8 @@ import oocgen
 from test_golden import ARTEFACTS, GOLDEN
 
 SRC = pathlib.Path(oocgen.__file__).parent
-PIPELINES = (pathlib.Path(__file__).resolve().parents[1]
-             / "perfbench" / "pipelines.py")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+PIPELINES = PERFBENCH / "pipelines.py"
 
 
 def _env():
@@ -62,15 +62,20 @@ def test_no_assert_statements_in_package():
 def test_benchmark_pipelines_run_on_the_library(tmp_path):
     # the benchmark harness imports and calls library names; a deletion
     # that breaks one must fail here, not only in the harness's self-test
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["design"]
     for mode in (["trace", "construct", "3", "2", "1", "spans.json"],
                  ["trace", "verify", "out.ooc", "spans2.json"],
                  ["run", "design", "3", "2", "1"],
+                 ["run", "design", "3", "5", "1"],
                  ["cli", "spans3.json", "construct", "--q", "3", "--k", "2",
                   "--s", "1", "--out", "c"]):
         run = subprocess.run([sys.executable, str(PIPELINES), *mode],
                              cwd=tmp_path, env=_env(), capture_output=True,
                              text=True)
         assert run.returncode == 0, (mode, run.stderr)
+        if mode[:2] == ["run", "design"]:
+            # the design workload's summary, members hash included
+            assert json.loads(run.stdout) == expected[",".join(mode[2:])]
     spans = json.loads((tmp_path / "spans.json").read_text())
     assert spans["result"]["sha256"] == GOLDEN[(3, 2)]
     cli_run = json.loads((tmp_path / "spans3.json").read_text())["result"]

@@ -414,7 +414,7 @@ def test_construct_g_rejects_bad_s():
 def test_coset_representatives_q3(pipeline_q3):
     code, _, _, _ = pipeline_q3
     U = code.representatives[0]
-    reps = coset_representatives(U)
+    reps = [F81.from_idx(a) for a in coset_representatives(U)]
     assert len(reps) == 4  # (3^2 - 1)/2
     units = F81.subfield(3).elements()[1:]
     for d1, d2 in itertools.combinations(reps, 2):
@@ -480,9 +480,11 @@ FAMILY_CASES = ["q3k2", "q5k2", "sidon_f64", "random"]
 def test_coset_family_matches_field_oracle(case):
     for code in _family_codes(case):
         fam, oracle = build_coset_family(code), field_coset_family(code)
-        assert fam.entries == oracle.entries
         assert fam.cosets == oracle.cosets
-        assert fam.t == oracle.t
+        # t = (q^(m-k) - 1)/(q - 1) cosets per representative
+        q, k = code.ground_q, code.dim
+        t = (code.field.order // q ** k - 1) // (q - 1)
+        assert len(fam.cosets) == len(code.representatives) * t
 
 
 @pytest.mark.parametrize("case", FAMILY_CASES)
@@ -493,25 +495,26 @@ def test_coset_family_scalings_partition_nonzero_field(case):
         f, q = code.field, code.ground_q
         units = [lam.idx for lam in f.subfield(q).elements()[1:]]
         fam = build_coset_family(code)
+        # the cosets come grouped by representative, t to a group
+        t = len(fam.cosets) // len(code.representatives)
         for i, U in enumerate(code.representatives):
             marked = [x for x in U.span_idx if x >= 0]
-            for (j, _), coset in zip(fam.entries, fam.cosets):
-                if j == i:
-                    marked += [(x.idx + s) % f.N for x in coset
-                               for s in units]
+            marked += [(x + s) % f.N for coset in fam.cosets[i * t:(i + 1) * t]
+                       for x in coset for s in units]
             assert sorted(marked) == list(range(f.N))
 
 
 def test_coset_family_q3(pipeline_q3):
     code, _, _, _ = pipeline_q3
     fam = build_coset_family(code)
-    assert len(fam.entries) == 4
+    assert len(fam.cosets) == 4
     for coset in fam.cosets:
-        assert len(coset) == 9
-        assert all(not x.is_zero() for x in coset)
+        # W^* as log indices: nine nonzero elements, no -1
+        assert type(coset) is frozenset and len(coset) == 9
+        assert all(type(x) is int and 0 <= x < 80 for x in coset)
     # distinct cosets of the same subspace are disjoint
     for c1, c2 in itertools.combinations(fam.cosets, 2):
-        assert not set(c1) & set(c2)
+        assert not c1 & c2
 
 
 def test_scaled_pair_orbits_are_not_disjoint():
@@ -525,7 +528,7 @@ def test_scaled_pair_orbits_are_not_disjoint():
 def test_coset_family_q5_count(pipeline_q5):
     code, _, _, _ = pipeline_q5
     fam = build_coset_family(code)
-    assert len(fam.entries) == 12  # 2 * (25-1)/4
+    assert len(fam.cosets) == 12  # 2 * (25-1)/4
 
 
 def test_proposition_intersection_bounds(pipeline_q3):
@@ -534,7 +537,7 @@ def test_proposition_intersection_bounds(pipeline_q3):
     code, _, _, _ = pipeline_q3
     fam = build_coset_family(code)
     bound = 3 ** (2 - code.min_distance // 2)
-    csets = [frozenset(x.idx for x in coset) for coset in fam.cosets]
+    csets = fam.cosets
     for a in range(80):
         for i, ci in enumerate(csets):
             shifted = [frozenset((x + a) % 80 for x in c) for c in csets]
