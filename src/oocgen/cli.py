@@ -37,6 +37,15 @@ def _write_all(prefix, writes):
                 os.remove(path)
 
 
+def _read_json(path):
+    """The JSON in path; nesting too deep to decode is a data error."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _cmd_construct(args):
     if args.code:
         given = [f"--{o}" for o in "qks" if getattr(args, o) is not None]
@@ -44,8 +53,7 @@ def _cmd_construct(args):
             print(f"construct takes --code or --q --k --s, not both: got "
                   f"--code with {' '.join(given)}", file=sys.stderr)
             return 2
-        with open(args.code) as f:
-            code = code_from_dict(json.load(f))
+        code = code_from_dict(_read_json(args.code))
     else:
         if args.q is None or args.k is None or args.s is None:
             print("construct needs either --code or all of --q --k --s",
@@ -88,8 +96,7 @@ def _load_sets(path):
     with open(path) as f:
         head = next((line.lstrip()[:1] for line in f if line.strip()), "")
     if head == "{":
-        with open(path) as f:
-            return oos_from_dict(json.load(f)), None
+        return oos_from_dict(_read_json(path)), None
     return read_ooc_text(path)
 
 

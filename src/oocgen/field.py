@@ -54,24 +54,16 @@ def _prime_factors(n):
 # polynomial helpers over F_p (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mod(a, b, p):
-    """Remainder of a modulo b over F_p.  b must be nonzero."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-        _poly_trim(a)
-    return a
+    """Remainder of a modulo the monic b over F_p: len(b) - 1 digits."""
+    d = len(b) - 1
+    r = list(a)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * b[j]) % p
+    return r[:d]
 
 
 def find_irreducible_factor(f, p):
@@ -84,7 +76,7 @@ def find_irreducible_factor(f, p):
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
-            if not _poly_mod(f, g, p):
+            if not any(_poly_mod(f, g, p)):
                 return g
     return None
 
@@ -197,8 +189,6 @@ class ExtensionField:
                     f"modulus is reducible; nontrivial factor {factor}")
         self.modulus = tuple(modulus)
 
-        self._init_reduction_table()
-
         if omega_code is None:
             omega_code = self._find_primitive_code()
         elif not self._has_full_order(omega_code):
@@ -283,37 +273,15 @@ class ExtensionField:
             code = code * self.p + c
         return code
 
-    def _init_reduction_table(self):
-        # digit vectors of x^(e+t) mod modulus, t = 0 .. e-2
-        p, e = self.p, self.e
-        self._xpow = []
-        cur = [(-c) % p for c in self.modulus[:e]]  # x^e
-        self._xpow.append(tuple(cur))
-        for _ in range(e - 2):
-            nxt = [0] + cur[:e - 1]
-            top = cur[e - 1]
-            if top:
-                for j in range(e):
-                    nxt[j] = (nxt[j] + top * self._xpow[0][j]) % p
-            self._xpow.append(tuple(nxt))
-            cur = nxt
-
     def _mul_digits(self, da, db):
         """Digit vector of the product of two digit vectors mod modulus."""
-        p, e = self.p, self.e
-        conv = [0] * (2 * e - 1)
+        p = self.p
+        conv = [0] * (2 * self.e - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     conv[i + j] = (conv[i + j] + x * y) % p
-        res = conv[:e]
-        for t in range(e - 2, -1, -1):
-            c = conv[e + t]
-            if c:
-                red = self._xpow[t]
-                for j in range(e):
-                    res[j] = (res[j] + c * red[j]) % p
-        return res
+        return _poly_mod(conv, self.modulus, p)
 
     def mul_codes(self, a, b):
         return self._encode(self._mul_digits(self._compute_digits(a),
@@ -472,12 +440,8 @@ class SubfieldEmbedding:
 
     def __init__(self, field, order):
         p, e = field.p, field.e
-        d = 0
-        t = order
-        while t > 1 and t % p == 0:
-            t //= p
-            d += 1
-        if t != 1 or d == 0 or e % d != 0:
+        d = _prime_factors(order).get(p, 0) if order <= field.order else 0
+        if d == 0 or order != p ** d or e % d != 0:
             raise FieldError(
                 f"order {order} is not a subfield order of F_{p}^{e}")
         self.field = field

@@ -117,7 +117,10 @@ def verify_oos(sets, lam):
         if len(X.members) != w:
             raise OocError(f"sets 0 and {i} have different weights "
                            f"({w} vs {len(X.members)})")
-    low, stride = (1 << n) - 1, 2 * n
+    try:
+        low, stride = (1 << n) - 1, 2 * n
+    except OverflowError:
+        raise OocError(f"modulus n = {n} is too large to verify") from None
     below = 0  # bits [0, n) of every block before the current one
     max_auto, auto_wit = 0, None
     max_cross, cross_wit = 0, None

@@ -9,8 +9,8 @@ count on the nonzero indices answers it for every a at once:
 One kernel makes every such count in the package: _column_counts adds the
 shifts of stacked indicators into bit-sliced counter planes, for sparse and
 dense sets alike.  The sweep then reads the planes through masks:
-_at_least gives the positions whose count reaches a threshold, and _peak
-the largest count in a mask with the lowest position that holds it.
+_equal gives the positions whose count is a given value, and _peak the
+largest count in a mask with the lowest position that holds it.
 ooc.verify_oos runs the same kernel over the OOC words.
 """
 
@@ -79,19 +79,14 @@ def _peak(planes, mask):
     return value, (cand & -cand).bit_length() - 1 if cand else None
 
 
-def _at_least(planes, v, mask):
-    """The bits of mask whose count is at least v, by a top-down compare of
-    the planes with the bits of v.  Equality to v is _at_least(v) minus
-    _at_least(v + 1)."""
+def _equal(planes, v, mask):
+    """The bits of mask whose count is v: one AND per plane, with the plane
+    where bit k of v is 1 and its complement where it is 0."""
     if v >> len(planes):
         return 0
-    above = 0
-    for k in range(len(planes) - 1, -1, -1):
-        if v >> k & 1:
-            mask &= planes[k]
-        else:
-            above |= mask & planes[k]
-    return above | mask
+    for k, P in enumerate(planes):
+        mask &= P if v >> k & 1 else ~P
+    return mask
 
 
 def _nonzero(U):
@@ -139,12 +134,6 @@ def span(field, elements, ground_q):
                 new.add((s + lam * el).idx)
         current = new
     return Subspace(field, ground_q, basis, current)
-
-
-def _ground_unit_indices(field, q):
-    """Log indices of F_q^* inside the ambient field."""
-    stride = field.N // (q - 1)
-    return {(stride * i) % field.N for i in range(q - 1)}
 
 
 @dataclass
@@ -239,17 +228,14 @@ def code_min_distance(code):
     below, best = 0, None
     for j, planes in enumerate(_column_counts(map(_nonzero, reps), N)):
         diag = low << stride * j
-        # no count in column j exceeds |S_j| = q^k - 1
-        region = below | diag & ~_at_least(planes, q ** k - 1, diag)
-        exact = 0
+        # the stabiliser of U_j: the a with |S_j ∩ omega^a S_j| = |S_j|
+        region = below | diag & ~_equal(planes, q ** k - 1, diag)
+        bad = region
         for e in range(k + 1):
-            v = q ** e - 1
-            exact |= (_at_least(planes, v, region)
-                      & ~_at_least(planes, v + 1, region))
-        bad = region & ~exact
+            bad &= ~_equal(planes, q ** e - 1, bad)
         if bad:  # a span not closed under addition
             # the peak of the complemented planes is the least bad count
-            v =(1 << len(planes)) - 1 - _peak([~P for P in planes], bad)[0]
+            v = (1 << len(planes)) - 1 - _peak([~P for P in planes], bad)[0]
             raise SubspaceError(f"set of size {1 + v} is not "
                                 f"F_{q}-subspace sized")
         if region:
@@ -272,17 +258,13 @@ def construct_w(fld, q, k, s, mu, xi):
     With mu = 0 this is F_{q^k} itself.  A degenerate (xi, mu) pair that
     collapses the dimension below k is a hard error.
     """
-    emb = fld.subfield(q ** k)
-    c = xi * mu
-    qs = q ** s
-    # emb.elements() is 0, g^0, g^1, ... for the generator g of F_{q^k}
-    images = [x + c * x ** qs for x in emb.elements()]
-    span_idx = {y.idx for y in images}
-    if len(span_idx) != q ** k:
+    g = fld.subfield(q ** k).generator
+    c, qs = xi * mu, q ** s
+    # the map is F_q-linear, so the images of 1, g, ..., g^(k-1) span U
+    U = span(fld, [x + c * x ** qs for x in (g ** i for i in range(k))], q)
+    if U.dim != k:
         raise SubspaceError("degenerate (xi, mu): image has dimension < k")
-    # the map is F_q-linear and injective, so it carries the basis
-    # 1, g, ..., g^(k-1) of F_{q^k} to a basis of its image
-    return Subspace(fld, q, images[1:k + 1], span_idx)
+    return U
 
 
 def validate_multi_orbit(fld, q, k, mus, xi):
@@ -381,7 +363,7 @@ def _coset_scan(U):
         raise SubspaceError("U must be a proper subspace")
     t = (q ** (m - U.dim) - 1) // (q - 1)
     span_nz = _nonzero(U)
-    units = _ground_unit_indices(f, q)
+    units = range(0, N, f.subfield(q).stride)  # the log indices of F_q^*
     zech = f.zech
     covered = bytearray(N)
     for i in span_nz:

@@ -120,6 +120,42 @@ def test_verify_oos_set_with_repeated_member_is_data_error(tmp_path,
     assert "OOS file: set 0 repeats a member" in captured.err
 
 
+def _deep_json(tmp_path):
+    # 200 000 nested lists: json's decoder gives up with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 5, "sets": ' + "[" * 200_000 + "]" * 200_000
+                    + "}")
+    return path
+
+
+def test_verify_deeply_nested_json_is_data_error(tmp_path, capsys):
+    path = _deep_json(tmp_path)
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_construct_deeply_nested_code_file_is_data_error(tmp_path, capsys):
+    path = _deep_json(tmp_path)
+    out = tmp_path / "out"
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON nested too deeply\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_verify_oos_modulus_too_large_is_data_error(tmp_path, capsys):
+    # 1 << 10**20 fails at once; a modulus that would really be allocated
+    # is not tried here
+    path = tmp_path / "huge.oos.json"
+    path.write_text('{"n": 100000000000000000000, "sets": [[0, 1]]}')
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    assert capsys.readouterr().err == ("error: modulus n = "
+                                       "100000000000000000000 is too large "
+                                       "to verify\n")
+
+
 def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
     # {0, 1, 3} is a (7, 3, 1) difference set, so only the repeat breaks
     # lambda = 1: its cross-correlation at tau = 0 is the weight

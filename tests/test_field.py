@@ -9,6 +9,7 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy import GF, Poly, Symbol, factorint
 
 from oocgen import (FieldError, field_create, field_from_descriptor,
@@ -120,6 +121,24 @@ def test_pow_code_matches_repeated_mul_codes(p, e):
             assert f.pow_code(a, t) == acc, (a, t)
 
 
+@given(st.sampled_from([(2, 1), (2, 8), (3, 1), (3, 5), (5, 1), (5, 3),
+                        (7, 1), (7, 3)]), st.data())
+def test_mul_codes_matches_sympy_product_mod_modulus(pe, data):
+    # an oracle outside the library: sympy's product and remainder over F_p
+    p, e = pe
+    f = field_create(p, e)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    x = Symbol("x")
+
+    def poly(code):
+        digits = [code // p ** i % p for i in range(e)]
+        return Poly(digits[::-1], x, modulus=p)
+
+    rem = (poly(a) * poly(b)).rem(Poly(f.modulus[::-1], x, modulus=p))
+    assert f.mul_codes(a, b) == sum(c % p * p ** i for i, c in
+                                    enumerate(reversed(rem.all_coeffs())))
+
+
 # An element is stored by its discrete log, the index idx with omega^idx = x.
 
 def test_dlog_examples():
@@ -227,6 +246,9 @@ def test_subfield_invalid_order_rejected():
     f = field_create(3, 4)
     with pytest.raises(FieldError):
         f.subfield(27)  # 3^3, 3 does not divide 4
+    for order in (0, 1, 6, 3 ** 8, 2 ** 61 - 1):  # 2^61 - 1 is prime
+        with pytest.raises(FieldError, match="not a subfield order"):
+            f.subfield(order)
 
 
 def test_rel_norm_identity_and_order():

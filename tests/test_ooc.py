@@ -12,7 +12,7 @@ from oocgen import (FieldElement, IndexSet, OocCode, OocError, build_ooc,
                     optimality_ratio, params_table, s_of_w, verify_oos)
 from oocgen import ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _at_least, _column_counts, _peak
+from oocgen.subspaces import _column_counts, _equal, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, pair_difference_counts, pair_verify_oos, shift)
 
@@ -190,7 +190,7 @@ def _counts(X, Y, n):
 
 
 @given(_set_pair())
-def test_difference_counts_match_bit_oracle(pair):
+def test_column_counts_match_bit_oracle(pair):
     X, Y = pair
     n = X.n
     xb, yb = bits(X), bits(Y)
@@ -219,19 +219,15 @@ def _masked_pair(draw):
 
 
 @given(_masked_pair())
-def test_at_least_and_peak_match_pair_loop(case):
+def test_equal_and_peak_match_pair_loop(case):
     X, Y, n, mask = case
     c = pair_difference_counts(X, Y, n)
     _, planes = _column_counts([X, Y], n)
     assert len(planes) == len(Y).bit_length()  # [] for an empty Y
-    at_least = [_at_least(planes, v, mask)
-                for v in range((1 << len(planes)) + 2)]
-    for v, got in enumerate(at_least):
-        assert got == sum(1 << t for t in range(n)
-                          if mask >> t & 1 and c[t] >= v)
-        if v + 1 < len(at_least):
-            assert got & ~at_least[v + 1] == sum(
-                1 << t for t in range(n) if mask >> t & 1 and c[t] == v)
+    # d planes hold counts up to 2^d - 1; v = 2^d and 2^d + 1 match no bit
+    for v in range((1 << len(planes)) + 2):
+        assert _equal(planes, v, mask) == sum(
+            1 << t for t in range(n) if mask >> t & 1 and c[t] == v)
     masked = [t for t in range(n) if mask >> t & 1]
     best = max((c[t] for t in masked), default=0)
     assert _peak(planes, mask) == (
@@ -245,9 +241,9 @@ def _range_counts(m, n):
             for t in range(n)]
 
 
-# The counts c[tau] = |X ∩ (Y + tau)| are the coefficients of the cyclic
-# product X(z)·Y(z^-1) mod z^n - 1; each tau's counter, its slot, is as wide
-# as the number of planes.
+# The count c[tau] = |X ∩ (Y + tau)| is spread over the counter planes:
+# bit k of c[tau] is bit tau of plane k, so d planes hold counts up to
+# 2^d - 1, and a column has as many planes as its set's size has bits.
 
 @pytest.mark.parametrize("X,Y,n", [
     ({0}, {0}, 1), (set(), {0}, 1), ({0}, set(), 1),
@@ -276,7 +272,7 @@ def test_product_counts_at_slot_width_boundaries(m, n):
 
 
 @pytest.mark.parametrize("m", [65535])
-def test_product_counts_at_widest_slots(m):
+def test_column_counts_at_sixteen_planes(m):
     # 65535 is the largest count sixteen planes hold
     planes, = _column_counts([range(m)], m + 1)
     assert len(planes) == 16
@@ -293,7 +289,7 @@ def _dense_pair(draw):
 
 
 @given(_dense_pair())
-def test_product_counts_match_pair_loop_and_bit_oracle(pair):
+def test_column_counts_match_pair_loop_and_bit_oracle(pair):
     X, Y, n = pair
     xb = [1 if t in X else 0 for t in range(n)]
     yb = [1 if t in Y else 0 for t in range(n)]
