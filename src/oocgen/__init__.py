@@ -1,8 +1,8 @@
 """Optical orthogonal codes from multi-orbit cyclic subspace codes."""
 
-from .field import (ExtensionField, FieldElement, FieldError,
-                    SubfieldEmbedding, field_create, field_from_descriptor,
-                    field_for_prime_power, factor_prime_power)
+from .field import (ExtensionField, FieldError, field_create,
+                    field_from_descriptor, field_for_prime_power,
+                    factor_prime_power)
 from .subspaces import (CosetFamily, CyclicSubspaceCode, Subspace,
                         SubspaceError, build_coset_family, code_from_dict,
                         code_min_distance, construct_g, construct_w,

@@ -1,14 +1,15 @@
 """Exact arithmetic in small extension fields F_{p^e}.
 
-Elements are stored by their discrete-log index with respect to a fixed
-primitive element omega: index -1 encodes zero, index i >= 0 encodes omega^i.
-Full exp/log tables are built at construction, so multiplication and
+An element is its discrete-log index with respect to a fixed primitive
+element omega: an int in -1..N-1, where -1 is zero and i >= 0 is omega^i.
+Full exp/log tables are built at construction, so ExtensionField.mul and
 powers are index arithmetic.  Addition stays in the log domain too: a Zech
 table holds zech[i] = log(1 + omega^i) (-1 when that sum is zero), so
-omega^a + omega^b = omega^(a + zech[b - a]) is one lookup.  The three
-tables are typed arrays (array.array, 4-byte entries, 8-byte once the
-order reaches 2^31), so together they hold about 12 bytes per field
-element.
+ExtensionField.add(a, b) = a + zech[b - a] is one lookup.  The subfield of
+order p^d is an index stride, N / (p^d - 1): its nonzero elements are the
+multiples of the stride.  The three tables are typed arrays (array.array,
+4-byte entries, 8-byte once the order reaches 2^31), so together they hold
+about 12 bytes per field element.
 
 The exp table is built one table-driven omega-step per element: multiplying
 by omega is F_p-linear, so the code of omega*c is the sum of two
@@ -96,71 +97,6 @@ def canonical_modulus(p, e):
 
 
 # ---------------------------------------------------------------------------
-# field elements
-# ---------------------------------------------------------------------------
-
-class FieldElement:
-    """An element of an ExtensionField, stored by discrete-log index."""
-
-    __slots__ = ("field", "idx")
-
-    def __init__(self, field, idx):
-        self.field = field
-        self.idx = idx
-
-    @property
-    def code(self):
-        """Integer encoding of the coefficient vector."""
-        return 0 if self.idx < 0 else self.field.exp[self.idx]
-
-    def is_zero(self):
-        return self.idx < 0
-
-    def __add__(self, other):
-        f = self.field
-        f._check_same(other)
-        a, b = self.idx, other.idx
-        if a < 0:
-            return other
-        if b < 0:
-            return self
-        z = f.zech[(b - a) % f.N]
-        return FieldElement(f, -1 if z < 0 else (a + z) % f.N)
-
-    def __mul__(self, other):
-        f = self.field
-        f._check_same(other)
-        if self.idx < 0 or other.idx < 0:
-            return f.zero()
-        return FieldElement(f, (self.idx + other.idx) % f.N)
-
-    def __pow__(self, t):
-        f = self.field
-        if self.idx < 0:
-            if t == 0:
-                return f.one()
-            if t > 0:
-                return f.zero()
-            raise FieldError("negative power of zero")
-        return FieldElement(f, (self.idx * t) % f.N)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field is other.field and self.idx == other.idx
-
-    def __hash__(self):
-        return hash((id(self.field), self.idx))
-
-    def __repr__(self):
-        if self.idx < 0:
-            return "0"
-        if self.idx == 0:
-            return "1"
-        return f"w^{self.idx}"
-
-
-# ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
 
@@ -213,8 +149,6 @@ class ExtensionField:
                 for i, z in zip(log_r[j::p], log_r[(j + 1) % p::p]):
                     if i >= 0:
                         zech_w[i] = z
-
-        self._subfields = {}
 
     def _exp_log_tables(self, tc):
         """exp and log tables (arrays of typecode tc), one table-driven
@@ -313,35 +247,32 @@ class ExtensionField:
                 return code
         raise FieldError("no primitive element found")  # unreachable
 
-    # -- element constructors
+    # -- arithmetic on log indices
 
-    def zero(self):
-        return FieldElement(self, -1)
+    def add(self, a, b):
+        """omega^a + omega^b as a log index: one Zech lookup."""
+        if a < 0:
+            return b
+        if b < 0:
+            return a
+        z = self.zech[(b - a) % self.N]
+        return -1 if z < 0 else (a + z) % self.N
 
-    def one(self):
-        return FieldElement(self, 0)
-
-    def from_idx(self, i):
-        if i == -1:
-            return self.zero()
-        return FieldElement(self, i % self.N)
-
-    def iter_elements(self):
-        """All elements in canonical order: zero, then ascending log index."""
-        yield self.zero()
-        for i in range(self.N):
-            yield FieldElement(self, i)
-
-    def _check_same(self, other):
-        if not isinstance(other, FieldElement) or other.field is not self:
-            raise FieldError("elements belong to different fields")
+    def mul(self, a, b):
+        """omega^a * omega^b as a log index."""
+        return -1 if a < 0 or b < 0 else (a + b) % self.N
 
     # -- subfield structure
 
-    def subfield(self, order):
-        if order not in self._subfields:
-            self._subfields[order] = SubfieldEmbedding(self, order)
-        return self._subfields[order]
+    def subfield_stride(self, order):
+        """N / (order - 1) for the subfield of that order: its nonzero
+        elements are the multiples of the stride, its generator the stride."""
+        p, e = self.p, self.e
+        d = _prime_factors(order).get(p, 0) if order <= self.order else 0
+        if d == 0 or order != p ** d or e % d != 0:
+            raise FieldError(
+                f"order {order} is not a subfield order of F_{p}^{e}")
+        return self.N // (order - 1)
 
     def rel_norm(self, x, from_order, to_order):
         """Relative norm x^((q^k-1)/(q-1)) from F_{q^k} to F_q.
@@ -350,16 +281,19 @@ class ExtensionField:
         with to_order | from_order in the lattice, and x must lie in the
         embedded F_{q^k}.
         """
-        src = self.subfield(from_order)
-        dst = self.subfield(to_order)
-        if src.degree % dst.degree != 0:
+        src = self.subfield_stride(from_order)
+        dst = self.subfield_stride(to_order)
+        if (from_order - 1) % (to_order - 1):
             raise FieldError(
                 f"F_{to_order} is not a subfield of F_{from_order}")
-        if not src.contains(x):
-            raise FieldError(f"{x!r} is not in the subfield of order {from_order}")
-        result = x ** ((from_order - 1) // (to_order - 1))
-        if not dst.contains(result):
-            raise FieldError(f"norm of {x!r} is not in F_{to_order}")
+        if x < 0:
+            return x
+        if x % src:
+            raise FieldError(f"omega^{x} is not in the subfield of order "
+                             f"{from_order}")
+        result = x * ((from_order - 1) // (to_order - 1)) % self.N
+        if result % dst:
+            raise FieldError(f"norm of omega^{x} is not in F_{to_order}")
         return result
 
     def is_irreducible_quadratic(self, b, c, sub_order):
@@ -367,13 +301,12 @@ class ExtensionField:
 
         Decided by exhaustive root search; b and c must lie in the subfield.
         """
-        emb = self.subfield(sub_order)
-        if not (emb.contains(b) and emb.contains(c)):
+        stride = self.subfield_stride(sub_order)
+        if b >= 0 and b % stride or c >= 0 and c % stride:
             raise FieldError("quadratic coefficients must lie in the subfield")
-        for t in emb.elements():
-            if (t * t + b * t + c).is_zero():
-                return False
-        return True
+        add, mul = self.add, self.mul
+        return all(add(mul(t, add(t, b)), c) >= 0
+                   for t in (-1, *range(0, self.N, stride)))
 
     # -- serialization
 
@@ -429,37 +362,3 @@ def field_for_prime_power(q, m):
     """Realize F_{q^m} as an extension of the prime field F_p."""
     p, e0 = factor_prime_power(q)
     return field_create(p, e0 * m)
-
-
-# ---------------------------------------------------------------------------
-# subfield embeddings
-# ---------------------------------------------------------------------------
-
-class SubfieldEmbedding:
-    """The subfield of order p^d inside F_{p^e}: the powers of omega^stride."""
-
-    def __init__(self, field, order):
-        p, e = field.p, field.e
-        d = _prime_factors(order).get(p, 0) if order <= field.order else 0
-        if d == 0 or order != p ** d or e % d != 0:
-            raise FieldError(
-                f"order {order} is not a subfield order of F_{p}^{e}")
-        self.field = field
-        self.order = order
-        self.degree = d                  # over the prime field
-        self.stride = field.N // (order - 1)
-        self.generator = field.from_idx(self.stride % field.N)
-
-    def contains(self, x):
-        self.field._check_same(x)
-        return x.idx < 0 or x.idx % self.stride == 0
-
-    def elements(self):
-        """All subfield elements: zero, then ascending log index."""
-        f = self.field
-        return [f.zero()] + [f.from_idx((self.stride * i) % f.N)
-                             for i in range(self.order - 1)]
-
-    def __repr__(self):
-        return f"SubfieldEmbedding(order={self.order} in {self.field!r})"
-

@@ -1,7 +1,8 @@
 """F_q-linear subspaces of F_{q^m} and cyclic subspace codes.
 
-Subspaces carry their full span as a frozenset of log indices (-1 for zero),
-so scaling by omega^a shifts every nonzero index by a.  The distance sweep
+An element is its log index (-1 for zero), as in field.py.  Subspaces carry
+their basis as log indices and their full span as a frozenset of them, so
+scaling by omega^a shifts every nonzero index by a.  The distance sweep
 over scalings asks for |U ∩ omega^a V| at each a, and one cyclic difference
 count on the nonzero indices answers it for every a at once:
 |U ∩ omega^a V| = 1 + #{(u, v) : u - v = a (mod N)}.
@@ -114,25 +115,24 @@ class Subspace:
                 f"ambient=F_{self.field.order})")
 
 
-def span(field, elements, ground_q):
-    """F_q-span of the given elements, with an independent basis extracted.
+def span(field, indices, ground_q):
+    """F_q-span of the elements with the given log indices, with an
+    independent basis extracted.
 
     Dependent input is reduced, not rejected; the empty set spans {0}.
+    Each new basis element el adds s + lam * el for every s spanned so far
+    and every lam in F_q^*, the log indices that are multiples of the
+    subfield's stride.
     """
-    scalars = field.subfield(ground_q).elements()
-    current = {field.zero().idx}
+    add, N = field.add, field.N
+    units = range(0, N, field.subfield_stride(ground_q))
+    current = {-1}
     basis = []
-    for el in elements:
-        field._check_same(el)
-        if el.idx in current:
+    for el in indices:
+        if el in current:
             continue
         basis.append(el)
-        new = set(current)
-        for s_idx in current:
-            s = field.from_idx(s_idx)
-            for lam in scalars[1:]:
-                new.add((s + lam * el).idx)
-        current = new
+        current |= {add(s, (el + u) % N) for s in current for u in units}
     return Subspace(field, ground_q, basis, current)
 
 
@@ -180,7 +180,7 @@ class CyclicSubspaceCode:
 
 
 def subspace_to_dict(U):
-    return {"ground_q": U.ground_q, "basis": [b.idx for b in U.basis]}
+    return {"ground_q": U.ground_q, "basis": list(U.basis)}
 
 
 def _entry(d, key, what):
@@ -198,7 +198,7 @@ def subspace_from_dict(d, fld):
             type(i) is int and -1 <= i < fld.N for i in basis):
         raise SubspaceError(f"basis entries must be log indices in "
                             f"-1..{fld.N - 1}, got {basis!r}")
-    return span(fld, [fld.from_idx(i) for i in basis], q)
+    return span(fld, basis, q)
 
 
 def code_from_dict(d):
@@ -255,13 +255,16 @@ def code_min_distance(code):
 def construct_w(fld, q, k, s, mu, xi):
     """The subspace {x + xi * mu * x^(q^s) : x in F_{q^k}}.
 
-    With mu = 0 this is F_{q^k} itself.  A degenerate (xi, mu) pair that
-    collapses the dimension below k is a hard error.
+    mu and xi are log indices.  With mu = 0 this is F_{q^k} itself.  A
+    degenerate (xi, mu) pair that collapses the dimension below k is a hard
+    error.
     """
-    g = fld.subfield(q ** k).generator
-    c, qs = xi * mu, q ** s
-    # the map is F_q-linear, so the images of 1, g, ..., g^(k-1) span U
-    U = span(fld, [x + c * x ** qs for x in (g ** i for i in range(k))], q)
+    N, g = fld.N, fld.subfield_stride(q ** k)
+    c, qs = fld.mul(xi, mu), q ** s
+    # the map is F_q-linear, so the images of 1, g, ..., g^(k-1) span U;
+    # x^(q^s) is the index x * q^s
+    U = span(fld, [fld.add(x, fld.mul(c, x * qs % N))
+                   for x in (g * i % N for i in range(k))], q)
     if U.dim != k:
         raise SubspaceError("degenerate (xi, mu): image has dimension < k")
     return U
@@ -270,8 +273,8 @@ def construct_w(fld, q, k, s, mu, xi):
 def validate_multi_orbit(fld, q, k, mus, xi):
     """Check the pairwise norm conditions for a multi-orbit construction.
 
-    Requires the ambient field to be F_{q^{2k}}.  Returns (ok, report) where
-    report lists every violated pair.
+    Requires the ambient field to be F_{q^{2k}}; mus and xi are log
+    indices.  Returns (ok, report) where report lists every violated pair.
     """
     p, e0 = factor_prime_power(q)
     if fld.p != p or fld.e != e0 * 2 * k:
@@ -279,16 +282,16 @@ def validate_multi_orbit(fld, q, k, mus, xi):
     if len(mus) > q - 1:
         raise SubspaceError("at most q - 1 orbits allowed")
     qk = q ** k
-    if fld.subfield(qk).contains(xi):
+    if xi < 0 or xi % fld.subfield_stride(qk) == 0:
         raise SubspaceError("xi must lie outside F_{q^k}")
     norm = lambda x: fld.rel_norm(x, qk, q)
-    xi_norm_factor = xi ** (qk + 1)
+    xi_norm_factor = xi * (qk + 1) % fld.N
     report = []
     for i in range(len(mus)):
         for j in range(i + 1, len(mus)):
             if norm(mus[i]) == norm(mus[j]):
                 report.append({"pair": (i, j), "condition": "equal norms"})
-            if norm(mus[i] * mus[j] * xi_norm_factor) == fld.one():
+            if norm(fld.mul(fld.mul(mus[i], mus[j]), xi_norm_factor)) == 0:
                 report.append({"pair": (i, j),
                                "condition": "norm(mu_i mu_j xi^(q^k+1)) = 1"})
     return not report, report
@@ -307,10 +310,11 @@ def check_g_params(q, k):
 def construct_g(q, k, s):
     """The explicit multi-orbit code G_{2k,s} over F_{q^{2k}}.
 
-    Picks the canonical primitive w of F_{q^k}, the first b (in canonical
-    element order) making x^2 + b x + w irreducible over F_{q^k}, the first
-    root xi of that quadratic in F_{q^{2k}}, and returns the
-    floor((q-1)/2) orbits V_i = {u + u^(q^s) w^i xi : u in F_{q^k}}.
+    Picks the canonical primitive w of F_{q^k}, the first b (zero, then
+    ascending log index) making x^2 + b x + w irreducible over F_{q^k}, the
+    first root xi of that quadratic in F_{q^{2k}} (ascending log index), and
+    returns the floor((q-1)/2) orbits V_i = {u + u^(q^s) w^i xi : u in
+    F_{q^k}}.  All of these are log indices: w is the stride of F_{q^k}.
     """
     check_g_params(q, k)
     if s < 1:
@@ -319,24 +323,23 @@ def construct_g(q, k, s):
         raise SubspaceError(f"gcd(s, k) must be 1, got s={s}, k={k}")
     m = 2 * k
     fld = field_for_prime_power(q, m)
-    qk = q ** k
-    emb = fld.subfield(qk)
-    w = emb.generator
+    qk, N = q ** k, fld.N
+    w = fld.subfield_stride(qk)
     # primitive w is never a (q-1)-power for q > 2
-    if w ** ((qk - 1) // (q - 1)) == fld.one():
+    if w * ((qk - 1) // (q - 1)) % N == 0:
         raise SubspaceError("w is a (q-1)-power")  # cannot happen
 
-    b = next((cand for cand in emb.elements()
+    b = next((cand for cand in (-1, *range(0, N, w))
               if fld.is_irreducible_quadratic(cand, w, qk)), None)
     if b is None:
         raise SubspaceError("no b makes x^2 + b x + w irreducible")  # cannot happen
-    xi = next((t for t in fld.iter_elements()
-               if not t.is_zero() and (t * t + b * t + w).is_zero()), None)
+    add, mul = fld.add, fld.mul
+    xi = next((t for t in range(N) if add(mul(t, add(t, b)), w) < 0), None)
     if xi is None:
         raise SubspaceError("quadratic has no root in F_{q^{2k}}")  # cannot happen
 
     r = (q - 1) // 2
-    mus = [w ** i for i in range(r)]
+    mus = [w * i % N for i in range(r)]
     if r > 1:
         ok, report = validate_multi_orbit(fld, q, k, mus, xi)
         if not ok:
@@ -363,7 +366,7 @@ def _coset_scan(U):
         raise SubspaceError("U must be a proper subspace")
     t = (q ** (m - U.dim) - 1) // (q - 1)
     span_nz = _nonzero(U)
-    units = range(0, N, f.subfield(q).stride)  # the log indices of F_q^*
+    units = range(0, N, f.subfield_stride(q))  # the log indices of F_q^*
     zech = f.zech
     covered = bytearray(N)
     for i in span_nz:

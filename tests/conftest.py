@@ -8,12 +8,12 @@ check_field_conditions multiplies on the polynomial route.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from oocgen import (CosetFamily, CyclicSubspaceCode, FieldElement, FieldError,
-                    IndexSet, OocError, Subspace, SubspaceError,
+from oocgen import (CosetFamily, CyclicSubspaceCode, FieldError, IndexSet, OocError, Subspace, SubspaceError,
                     VerificationReport, build_ooc, construct_g, field_create,
                     span)
 from oocgen.field import find_irreducible_factor
@@ -86,28 +86,33 @@ def bit_level_ooc_ok(words, lam):
 
 
 # ---------------------------------------------------------------------------
-# field elements
+# field elements: an element is its log index, -1 for zero
 # ---------------------------------------------------------------------------
 
-def neg(x):
+def code_of(f, x):
+    """The coefficient code of the element with log index x: f.exp[x], and
+    0 for zero."""
+    return 0 if x < 0 else f.exp[x]
+
+
+def neg(f, x):
     """-x.  For odd p, -1 = omega^(N/2), so negation adds N/2 to the index;
     in characteristic 2, -x = x."""
-    f = x.field
-    if x.idx < 0 or f.p == 2:
+    if x < 0 or f.p == 2:
         return x
-    return FieldElement(f, (x.idx + f.N // 2) % f.N)
+    return (x + f.N // 2) % f.N
 
 
-def sub(x, y):
+def sub(f, x, y):
     """x - y."""
-    return x + neg(y)
+    return f.add(x, neg(f, y))
 
 
-def inverse(x):
+def inverse(f, x):
     """x^-1 for nonzero x: the negated log index."""
-    if x.idx < 0:
+    if x < 0:
         raise FieldError("zero has no inverse")
-    return FieldElement(x.field, -x.idx % x.field.N)
+    return -x % f.N
 
 
 def gaussian_binomial(m, k, q):
@@ -127,19 +132,16 @@ def check_field_conditions(fld, w_lists, lam):
 
     (1) |W_i ∩ alpha W_i| <= lam for alpha outside {0, 1};
     (2) |W_i ∩ alpha W_j| <= lam for i != j and nonzero alpha.
-    Works on coefficient codes with the field's polynomial-route multiply,
-    independently of the exp/log and Zech tables, so its verdict and
-    verify_oos's on the S(W_i) cross-validate each other.  Returns
-    (ok, witness).
+    The W_i are given by log indices and read as codes, f.exp[x]; from there
+    it works with the field's polynomial-route multiply, independently of
+    the log and Zech tables, so its verdict and verify_oos's on the S(W_i)
+    cross-validate each other.  Returns (ok, witness).
     """
     code_sets = []
     for i, W in enumerate(w_lists):
-        codes = set()
-        for x in W:
-            if x.is_zero():
-                raise OocError(f"W_{i} contains zero")
-            codes.add(x.code)
-        code_sets.append(frozenset(codes))
+        if any(x < 0 for x in W):
+            raise OocError(f"W_{i} contains zero")
+        code_sets.append(frozenset(fld.exp[x] for x in W))
     if len(set(code_sets)) != len(code_sets):
         raise OocError("the W_i must be pairwise distinct")
     digits, mul, enc = fld._compute_digits, fld._mul_digits, fld._encode
@@ -172,10 +174,8 @@ def check_field_conditions(fld, w_lists, lam):
 def scaled(U, a):
     """The subspace omega^a U: basis omega^a b, span shifted by a."""
     f = U.field
-    alpha = f.from_idx(a)
-    return Subspace(f, U.ground_q, [alpha * b for b in U.basis],
-                    frozenset(-1 if i < 0 else (i + a) % f.N
-                              for i in U.span_idx))
+    return Subspace(f, U.ground_q, [f.mul(b, a) for b in U.basis],
+                    frozenset(f.mul(i, a) for i in U.span_idx))
 
 
 def _self_counts(U):
@@ -187,14 +187,14 @@ def _self_counts(U):
 def is_sidon(U):
     """Exhaustive Sidon check: dim(U ∩ alpha U) <= 1 for alpha outside F_q.
 
-    Returns (True, None) or (False, witness_alpha) with the smallest witness
-    by log index.  F_q^* is the a divisible by N / (q - 1), and
-    dim(U ∩ omega^a U) >= 2 exactly when 1 + c[a] > q.
+    Returns (True, None) or (False, a) with the smallest witness log index
+    a.  F_q^* is the a divisible by N / (q - 1), and dim(U ∩ omega^a U) >= 2
+    exactly when 1 + c[a] > q.
     """
     f, q = U.field, U.ground_q
-    stride, c = f.subfield(q).stride, _self_counts(U)
+    stride, c = f.subfield_stride(q), _self_counts(U)
     a = next((a for a in range(f.N) if a % stride and c[a] >= q), None)
-    return (True, None) if a is None else (False, f.from_idx(a))
+    return (True, None) if a is None else (False, a)
 
 
 def is_multi_sidon(spaces):
@@ -202,7 +202,7 @@ def is_multi_sidon(spaces):
 
     dim(U_i ∩ alpha U_j) <= 1 must hold for all nonzero alpha when i != j,
     and for alpha outside F_q when i = j.  Returns (True, None) or
-    (False, (i, j, alpha)), the lowest i, then j, then log index of alpha.
+    (False, (i, j, a)), the lowest i, then j, then log index a of alpha.
     """
     if len({U.span_idx for U in spaces}) != len(spaces):
         raise SubspaceError("duplicate subspaces in multi-Sidon input")
@@ -218,7 +218,7 @@ def is_multi_sidon(spaces):
         c = pair_difference_counts(S[i], S[j], f.N)
         a = next((a for a in range(f.N) if c[a] >= q), None)
         if a is not None:
-            return False, (i, j, f.from_idx(a))
+            return False, (i, j, a)
     return True, None
 
 
@@ -284,55 +284,52 @@ def _matinv_mod(rows, p):
 
 
 @functools.cache
-def _coord_map(emb):
-    """Prime-field coordinate matrix and generator powers of a subfield."""
-    f = emb.field
-    d, m = emb.degree, f.e // emb.degree
-    cols = []
-    for j in range(m):
-        wj = f.from_idx(j)
-        for l in range(d):
-            el = wj * emb.generator ** l
-            cols.append(f._compute_digits(el.code))
+def _coord_map(f, order):
+    """Prime-field coordinate matrix and generator powers (log indices) of
+    the subfield of that order; its generator is the index stride g."""
+    g = f.subfield_stride(order) % f.N
+    d = round(math.log(order, f.p))
+    cols = [f._compute_digits(f.exp[(j + g * l) % f.N])
+            for j in range(f.e // d) for l in range(d)]
     rows = [[cols[c][r] for c in range(f.e)] for r in range(f.e)]
-    return _matinv_mod(rows, f.p), [emb.generator ** l for l in range(d)]
+    return _matinv_mod(rows, f.p), [g * l % f.N for l in range(d)]
 
 
-def subfield_coords(emb, x):
-    """Coordinates of x over the subfield emb, in the power basis
-    {1, omega, ..., omega^(m-1)} of the big field (length m = e/d)."""
-    f = emb.field
-    coord_rows, gen_powers = _coord_map(emb)
-    d, m = emb.degree, f.e // emb.degree
-    vec = f._compute_digits(x.code)
+def subfield_coords(f, order, x):
+    """Coordinates (log indices) of x over the subfield of that order, in
+    the power basis {1, omega, ..., omega^(m-1)} of the big field (length
+    m = e/d)."""
+    coord_rows, gen_powers = _coord_map(f, order)
+    d = len(gen_powers)
+    vec = f._compute_digits(code_of(f, x))
     b = [sum(r * v for r, v in zip(row, vec)) % f.p for row in coord_rows]
     out = []
-    for j in range(m):
-        c = f.zero()
+    for j in range(f.e // d):
+        c = -1
         for l in range(d):
             if b[j * d + l]:
-                c = c + f.from_idx(f.log[b[j * d + l]]) * gen_powers[l]
+                c = f.add(c, f.mul(f.log[b[j * d + l]], gen_powers[l]))
         out.append(c)
     return tuple(out)
 
 
-def _rank(vectors):
-    """Rank of a list of coordinate vectors (entries are field elements)."""
+def _rank(f, vectors):
+    """Rank of a list of coordinate vectors (entries are log indices)."""
     rows = [list(v) for v in vectors]
     if not rows:
         return 0
     rank = 0
     for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows))
-                      if not rows[r][col].is_zero()), None)
+                      if rows[r][col] >= 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = inverse(rows[rank][col])
+        inv = inverse(f, rows[rank][col])
         for r in range(rank + 1, len(rows)):
-            if not rows[r][col].is_zero():
-                f = rows[r][col] * inv
-                rows[r] = [sub(a, f * b)
+            if rows[r][col] >= 0:
+                c = f.mul(rows[r][col], inv)
+                rows[r] = [sub(f, a, f.mul(c, b))
                            for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
@@ -340,9 +337,9 @@ def _rank(vectors):
 
 def rank_dim_intersection(U, V):
     """Oracle for dim(U ∩ V): rank of the stacked bases' F_q-coordinates."""
-    emb = U.field.subfield(U.ground_q)
-    vectors = [subfield_coords(emb, b) for b in U.basis + V.basis]
-    return U.dim + V.dim - _rank(vectors)
+    f = U.field
+    vectors = [subfield_coords(f, U.ground_q, b) for b in U.basis + V.basis]
+    return U.dim + V.dim - _rank(f, vectors)
 
 
 def greedy_coset_representatives(U):
@@ -350,20 +347,19 @@ def greedy_coset_representatives(U):
     omega^a against U and every F_q-multiple of the representatives so far,
     by field subtraction; returns the representatives' log indices."""
     f, q = U.field, U.ground_q
-    units = f.subfield(q).elements()[1:]
+    units = range(0, f.N, f.subfield_stride(q))
     t = (f.order // q ** U.dim - 1) // (q - 1)
     reps = []
     for a in range(f.N):
-        d = f.from_idx(a)
-        if d.idx in U.span_idx:
+        if a in U.span_idx:
             continue
-        if any(sub(d, lam * r).idx in U.span_idx
+        if any(sub(f, a, f.mul(lam, r)) in U.span_idx
                for r in reps for lam in units):
             continue
-        reps.append(d)
+        reps.append(a)
         if len(reps) == t:
             break
-    return [d.idx for d in reps]
+    return reps
 
 
 def field_coset_family(code):
@@ -372,11 +368,8 @@ def field_coset_family(code):
     the frozenset of its members' log indices."""
     cosets = []
     for U in code.representatives:
-        f = U.field
-        members = [f.from_idx(x) for x in U.span_idx]
         for a in greedy_coset_representatives(U):
-            d = f.from_idx(a)
-            cosets.append(frozenset((u + d).idx for u in members))
+            cosets.append(frozenset(U.field.add(u, a) for u in U.span_idx))
     return CosetFamily(tuple(cosets))
 
 
@@ -385,7 +378,7 @@ def canonical_sidon_f64():
     f = field_create(2, 6)
     seen = set()
     for trip in itertools.combinations(range(f.N), 3):
-        U = span(f, [f.from_idx(i) for i in trip], 2)
+        U = span(f, trip, 2)
         if U.dim != 3 or U.span_idx in seen:
             continue
         seen.add(U.span_idx)

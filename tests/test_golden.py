@@ -49,14 +49,30 @@ GOLDEN = {
 }
 
 
+def _hashes(prefix):
+    return [hashlib.sha256(prefix.with_name(f"{prefix.name}.{e}")
+                           .read_bytes()).hexdigest() for e in ARTEFACTS]
+
+
 @pytest.mark.parametrize("q,k", list(GOLDEN), ids=lambda v: str(v))
 def test_construct_artefacts_match_golden_hashes(tmp_path, q, k):
     out = tmp_path / "out"
     assert main(["construct", "--q", str(q), "--k", str(k), "--s", "1",
                  "--out", str(out)]) == 0
-    hashes = [hashlib.sha256((tmp_path / f"out.{e}").read_bytes()).hexdigest()
-              for e in ARTEFACTS]
-    assert hashes == GOLDEN[(q, k)]
+    assert _hashes(out) == GOLDEN[(q, k)]
+
+
+@pytest.mark.parametrize("q,k", list(GOLDEN), ids=lambda v: str(v))
+def test_construct_from_golden_code_file_matches_golden_hashes(tmp_path, q,
+                                                                k):
+    # the code file's bases are read back through subspace_from_dict and
+    # span, and must rebuild the same four artefacts
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["construct", "--q", str(q), "--k", str(k), "--s", "1",
+                 "--out", str(out)]) == 0
+    assert main(["construct", "--code", f"{out}.code.json",
+                 "--out", str(again)]) == 0
+    assert _hashes(again) == GOLDEN[(q, k)]
 
 
 # sha256 of json.dumps([X.sorted() for X in sets]) for the S(W) sets of

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
-from oocgen import (FieldElement, IndexSet, OocCode, OocError, build_ooc,
-                    construct_g, field_create, johnson_bound,
-                    optimality_ratio, params_table, s_of_w, verify_oos)
-from oocgen import ooc, subspaces
+from oocgen import (IndexSet, OocCode, OocError, build_ooc, construct_g,
+                    field_create, johnson_bound, optimality_ratio,
+                    params_table, s_of_w, verify_oos)
+from oocgen import field, ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _column_counts, _equal, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
@@ -97,9 +97,9 @@ def test_shift_matches_field_scaling():
     rng = random.Random(6)
     for _ in range(20):
         W = rng.sample(range(80), 6)
-        alpha = F81.from_idx(rng.randrange(80))
-        scaled = [(alpha * F81.from_idx(i)).idx for i in W]
-        assert s_of_w(F81, scaled) == shift(s_of_w(F81, W), alpha.idx)
+        alpha = rng.randrange(80)
+        scaled = [F81.mul(alpha, i) for i in W]
+        assert s_of_w(F81, scaled) == shift(s_of_w(F81, W), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _range_counts(m, n):
     (set(), {1, 2}, 5), ({0, 3}, set(), 5),
     ({0, 1, 3}, {0, 1, 3}, 7), ({2, 5, 6}, {0, 4}, 7),
 ])
-def test_product_counts_small_cases(X, Y, n):
+def test_column_counts_small_cases(X, Y, n):
     xb = [1 if t in X else 0 for t in range(n)]
     yb = [1 if t in Y else 0 for t in range(n)]
     c = _counts(X, Y, n)
@@ -261,7 +261,7 @@ def test_product_counts_small_cases(X, Y, n):
 
 
 @pytest.mark.parametrize("m,n", [(255, 600), (256, 600), (300, 400)])
-def test_product_counts_at_slot_width_boundaries(m, n):
+def test_column_counts_at_plane_count_boundaries(m, n):
     # a count of 255 fits eight planes, 256 needs nine; the counts of
     # negative differences wrap round to the top of c
     planes, = _column_counts([range(m)], n)
@@ -405,6 +405,10 @@ def test_verify_oos_counts_without_difference_counts():
     for module in (oocgen, subspaces, ooc):
         assert not hasattr(module, "difference_counts")
         assert not hasattr(module, "_product_counts")
+    # an element is its log index: the object layer is gone
+    for owner in (oocgen, field, field.ExtensionField):
+        for name in ("FieldElement", "SubfieldEmbedding", "from_idx"):
+            assert not hasattr(owner, name)
     assert ooc._column_counts is subspaces._column_counts
     rng = random.Random(16)
     for n, w in [(2400, 49), (400, 100)]:  # sparse and dense families
@@ -418,26 +422,26 @@ def test_verify_oos_counts_without_difference_counts():
 # ---------------------------------------------------------------------------
 
 def test_field_conditions_singleton():
-    ok, wit = check_field_conditions(F81, [[F81.one()]], 1)
+    ok, wit = check_field_conditions(F81, [[0]], 1)
     assert ok and wit is None
 
 
 def test_field_conditions_dilated_pair_fails():
     rng = random.Random(13)
-    W = [F81.from_idx(i) for i in rng.sample(range(80), 5)]
-    beta = F81.from_idx(37)
-    W2 = [beta * x for x in W]
+    W = rng.sample(range(80), 5)
+    beta = 37
+    W2 = [F81.mul(beta, x) for x in W]
     ok, wit = check_field_conditions(F81, [W, W2], 4)
     assert not ok
     assert wit["value"] == 5
     # the witness alpha is exactly a dilation carrying one set onto the other
-    alpha = F81.from_idx(F81.log[wit["alpha_code"]])
-    assert alpha in (beta, inverse(beta))
+    alpha = F81.log[wit["alpha_code"]]
+    assert alpha in (beta, inverse(F81, beta))
 
 
 def test_field_conditions_reject_zero():
     with pytest.raises(OocError):
-        check_field_conditions(F81, [[F81.zero(), F81.one()]], 1)
+        check_field_conditions(F81, [[-1, 0]], 1)
 
 
 def test_field_conditions_agree_with_set_level():
@@ -451,8 +455,7 @@ def test_field_conditions_agree_with_set_level():
             if W not in fams:
                 fams.append(W)
         lam = rng.randrange(1, 4)
-        field_ok, _ = check_field_conditions(
-            F81, [[F81.from_idx(i) for i in W] for W in fams], lam)
+        field_ok, _ = check_field_conditions(F81, fams, lam)
         set_ok = verify_oos([s_of_w(F81, W) for W in fams], lam).passed
         assert field_ok == set_ok
 
@@ -524,21 +527,14 @@ def test_build_ooc_q3_bit_oracle(pipeline_q3):
     assert not bit_level_ooc_ok(words, params.lam - 1)
 
 
-def test_build_ooc_makes_no_field_element(monkeypatch):
-    # once construct_g has chosen the subspaces, a field subset is its log
-    # indices: the coset scan, S(W) and the verify make no FieldElement
+def test_build_ooc_makes_no_field_element():
+    # an element is its log index: the bases construct_g picks, the cosets
+    # and the words hold ints and nothing else
     code = construct_g(3, 2, 1)
-    calls = []
-    init = FieldElement.__init__
-
-    def spy(self, field, idx):
-        calls.append(idx)
-        init(self, field, idx)
-
-    monkeypatch.setattr(FieldElement, "__init__", spy)
     ooc, _, _ = build_ooc(code)
     assert len(ooc.codewords) == 4
-    assert calls == []
+    assert all(type(b) is int for U in code.representatives for b in U.basis)
+    assert all(type(x) is int for cw in ooc.codewords for x in cw.members)
 
 
 def test_params_table():

@@ -19,14 +19,11 @@ from oocgen.subspaces import Subspace, _log_exact
 from conftest import (canonical_sidon_f64, code_size, field_coset_family,
                       gaussian_binomial, greedy_coset_representatives,
                       is_multi_sidon, is_sidon, orbit_size,
-                      rank_dim_intersection, scaled, sub)
+                      neg, rank_dim_intersection, scaled, sub)
 
 
 F81 = field_create(3, 4)
-
-
-def _subspace(field, idxs, q):
-    return span(field, [field.from_idx(i) for i in idxs], q)
+F9_STRIDE = F81.subfield_stride(9)  # F_9^* is the multiples of 10
 
 
 # ---------------------------------------------------------------------------
@@ -40,20 +37,18 @@ def test_span_empty():
 
 
 def test_span_two_independent():
-    omega = F81.from_idx(1)
-    U = span(F81, [F81.one(), omega], 3)
+    U = span(F81, [0, 1], 3)
     assert U.dim == 2
     assert len(U.span_idx) == 9
-    # oracle: enumerate all 9 F_3-combinations directly
-    combos = {(F81.from_idx(F81.log[a]) * F81.one()
-               + F81.from_idx(F81.log[b]) * omega).idx
+    # oracle: enumerate all 9 F_3-combinations a * 1 + b * omega directly
+    combos = {F81.add(F81.mul(F81.log[a], 0), F81.mul(F81.log[b], 1))
               for a in range(3) for b in range(3)}
     assert combos == U.span_idx
 
 
 def test_span_reduces_dependent_input():
-    two = F81.one() + F81.one()
-    U = span(F81, [F81.one(), two], 3)
+    two = F81.add(0, 0)
+    U = span(F81, [0, two], 3)
     assert U.dim == 1
 
 
@@ -69,8 +64,7 @@ def _span_dim_intersection(U, V):
 
 
 def test_dim_intersection_subfield_vs_scaled():
-    emb = F81.subfield(9)
-    U = span(F81, emb.elements(), 3)
+    U = span(F81, range(0, 80, F9_STRIDE), 3)
     V = scaled(U, 1)
     assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
@@ -78,8 +72,8 @@ def test_dim_intersection_subfield_vs_scaled():
 def test_dim_intersection_random_vs_rank_oracle():
     rng = random.Random(3)
     for _ in range(40):
-        U = _subspace(F81, rng.sample(range(80), 2), 3)
-        V = _subspace(F81, rng.sample(range(80), 2), 3)
+        U = span(F81, rng.sample(range(80), 2), 3)
+        V = span(F81, rng.sample(range(80), 2), 3)
         assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
 
@@ -91,12 +85,12 @@ def test_log_exact_rejects_non_power():
 
 def test_mismatched_fields_rejected():
     f16 = field_create(2, 4)
-    U = _subspace(F81, [0], 3)
-    V = _subspace(f16, [0], 2)
+    U = span(F81, [0], 3)
+    V = span(f16, [0], 2)
     with pytest.raises(SubspaceError, match="different ambient fields"):
         CyclicSubspaceCode(F81, 3, (U, V))
     # the same dimension over F_9 and over F_3
-    W = _subspace(F81, [0], 9)
+    W = span(F81, [0], 9)
     with pytest.raises(SubspaceError, match="ground fields F_3 and F_9"):
         CyclicSubspaceCode(F81, 3, (U, W))
     with pytest.raises(SubspaceError, match="ground fields F_9 and F_3"):
@@ -108,18 +102,17 @@ def test_mismatched_fields_rejected():
 # ---------------------------------------------------------------------------
 
 def test_one_dimensional_is_sidon():
-    ok, wit = is_sidon(_subspace(F81, [7], 3))
+    ok, wit = is_sidon(span(F81, [7], 3))
     assert ok and wit is None
 
 
 def test_subfield_is_not_sidon():
-    emb = F81.subfield(9)
-    U = span(F81, emb.elements(), 3)
+    U = span(F81, range(0, 80, F9_STRIDE), 3)
     ok, wit = is_sidon(U)
     assert not ok
     # witness lies in F_9 \ F_3, where alpha*U = U
-    assert emb.contains(wit)
-    assert not F81.subfield(3).contains(wit)
+    assert wit % F9_STRIDE == 0
+    assert wit % F81.subfield_stride(3) != 0
 
 
 def test_construction_space_is_sidon(pipeline_q3):
@@ -135,14 +128,14 @@ def test_multi_sidon_singleton(pipeline_q3):
 
 
 def test_multi_sidon_rejects_proportional_pair():
-    U = _subspace(F81, [0, 1], 3)
+    U = span(F81, [0, 1], 3)
     V = scaled(U, 1)
     ok, wit = is_multi_sidon([U, V])
     assert not ok
     i, j, alpha = wit
     spaces = [U, V]
     # the witness exhibits an overlap of dimension >= 2
-    overlap = spaces[i].span_idx & scaled(spaces[j], alpha.idx).span_idx
+    overlap = spaces[i].span_idx & scaled(spaces[j], alpha).span_idx
     assert len(overlap) >= 9
 
 
@@ -153,7 +146,7 @@ def test_multi_sidon_construction(pipeline_q5):
 
 
 def test_multi_sidon_rejects_duplicates():
-    U = _subspace(F81, [0, 1], 3)
+    U = span(F81, [0, 1], 3)
     with pytest.raises(SubspaceError):
         is_multi_sidon([U, U])
 
@@ -163,13 +156,13 @@ def test_multi_sidon_rejects_duplicates():
 # ---------------------------------------------------------------------------
 
 def test_orbit_of_whole_field():
-    U = span(F81, [F81.from_idx(i) for i in range(80)], 3)
+    U = span(F81, range(80), 3)
     assert U.dim == 4
     assert orbit_size(U) == 1
 
 
 def test_orbit_of_subfield():
-    U = span(F81, F81.subfield(9).elements(), 3)
+    U = span(F81, range(0, 80, F9_STRIDE), 3)
     assert orbit_size(U) == 80 // 8  # stabilizer F_9^*
 
 
@@ -186,7 +179,7 @@ def test_orbit_size_formula():
     # orbit size is (q^m-1)/(q^t-1) for some t | m
     rng = random.Random(9)
     for _ in range(15):
-        U = _subspace(F81, rng.sample(range(80), 2), 3)
+        U = span(F81, rng.sample(range(80), 2), 3)
         size = orbit_size(U)
         assert any(size == 80 // (3 ** t - 1)
                    for t in (1, 2, 4) if 80 % (3 ** t - 1) == 0)
@@ -200,7 +193,7 @@ def test_code_min_distance_vs_full_pair_sweep():
     # one orbit of U = F_4 inside F_16 over F_2, checked against the
     # exhaustive all-pairs oracle
     f16 = field_create(2, 4)
-    U = span(f16, f16.subfield(4).elements(), 2)
+    U = span(f16, range(0, 15, f16.subfield_stride(4)), 2)
     code = CyclicSubspaceCode(f16, 2, (U,))
     orb = {V.span_idx: V for V in (scaled(U, a) for a in range(f16.N))}
     orb = list(orb.values())
@@ -258,13 +251,12 @@ def test_construct_sweeps_orbit_pairs_once(monkeypatch):
 
 
 def test_min_distance_single_subspace_rejected():
-    U = span(F81, [F81.from_idx(i) for i in range(80)], 3)
+    U = span(F81, range(80), 3)
     with pytest.raises(SubspaceError, match="undefined"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (U,)))
     # nine log indices, but not closed under addition: the count 1 at
     # alpha = omega^7 makes |V ∩ alpha V| = 2, no power of 3
-    V = Subspace(F81, 3, [F81.from_idx(0), F81.from_idx(1)],
-                 [-1, *range(8)])
+    V = Subspace(F81, 3, [0, 1], [-1, *range(8)])
     with pytest.raises(SubspaceError, match="set of size 2 is not F_3"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (V,)))
 
@@ -273,12 +265,8 @@ def test_bad_norm_pair_lowers_distance():
     # mus with equal relative norms violate Theorem-style conditions and the
     # two-orbit code collapses below distance 2k - 2
     f = field_create(5, 4)
-    emb = f.subfield(25)
-    w = emb.generator
-    b = next(c for c in emb.elements() if f.is_irreducible_quadratic(c, w, 25))
-    xi = next(t for t in f.iter_elements()
-              if not t.is_zero() and (t * t + b * t + w).is_zero())
-    mus = [f.one(), w ** 4]  # norm(w)^4 = norm(w^4) since norm(w) has order 4
+    w, xi = _w_and_xi(f)
+    mus = [0, 4 * w]  # norm(w)^4 = norm(w^4) since norm(w) has order 4
     ok, report = validate_multi_orbit(f, 5, 2, mus, xi)
     assert not ok
     assert report[0]["condition"] == "equal norms"
@@ -294,39 +282,51 @@ def test_bad_norm_pair_lowers_distance():
 # explicit constructions
 # ---------------------------------------------------------------------------
 
+def _w_and_xi(f):
+    """The primitive w of F_25 in F_625 and the first root xi of the first
+    irreducible x^2 + b x + w, as log indices."""
+    w = f.subfield_stride(25)
+    b = next(c for c in (-1, *range(0, f.N, w))
+             if f.is_irreducible_quadratic(c, w, 25))
+    add, mul = f.add, f.mul
+    xi = next(t for t in range(f.N)
+              if add(add(mul(t, t), mul(b, t)), w) < 0)
+    return w, xi
+
+
+def _xi_outside_f9(*skip):
+    """The first log index outside F_9 and not in skip."""
+    return next(x for x in range(80) if x % F9_STRIDE and x not in skip)
+
+
 def test_construct_w_mu_zero_gives_subfield():
-    emb = F81.subfield(9)
-    xi = next(x for x in F81.iter_elements()
-              if not x.is_zero() and not emb.contains(x))
-    U = construct_w(F81, 3, 2, 1, F81.zero(), xi)
-    assert U.span_idx == span(F81, emb.elements(), 3).span_idx
+    xi = _xi_outside_f9()
+    U = construct_w(F81, 3, 2, 1, -1, xi)
+    assert U.span_idx == span(F81, range(0, 80, F9_STRIDE), 3).span_idx
 
 
 def test_construct_w_gcd_degenerate_not_sidon():
     # s = 2 with k = 2: x^(q^s) = x on F_9, so W is a scalar multiple of F_9
-    emb = F81.subfield(9)
-    xi = next(x for x in F81.iter_elements()
-              if not x.is_zero() and not emb.contains(x)
-              and not (F81.one() + x).is_zero())
-    U = construct_w(F81, 3, 2, 2, F81.one(), xi)
-    subfield = span(F81, emb.elements(), 3)
-    assert U.span_idx == scaled(subfield, (F81.one() + xi).idx).span_idx
+    xi = _xi_outside_f9(neg(F81, 0))  # 1 + xi != 0
+    U = construct_w(F81, 3, 2, 2, 0, xi)
+    subfield = span(F81, range(0, 80, F9_STRIDE), 3)
+    assert U.span_idx == scaled(subfield, F81.add(0, xi)).span_idx
     ok, wit = is_sidon(U)
     assert not ok and wit is not None
 
 
 def test_construct_w_basis_is_what_span_picks():
     # images of 1, g, ..., g^(k-1) under x -> x + xi mu x^(q^s)
-    emb = F81.subfield(9)
-    xi = next(x for x in F81.iter_elements()
-              if not x.is_zero() and not emb.contains(x))
+    xi = _xi_outside_f9()
     checked = 0
-    for mu in emb.elements()[1:]:
+    for mu in range(0, 80, F9_STRIDE):
         try:
             U = construct_w(F81, 3, 2, 1, mu, xi)
         except SubspaceError:
             continue
-        images = [x + xi * mu * x ** 3 for x in emb.elements()]
+        # x^3 is the index 3x; the image of zero is zero, which spans nothing
+        images = [F81.add(x, F81.mul(F81.mul(xi, mu), 3 * x % 80))
+                  for x in range(0, 80, F9_STRIDE)]
         V = span(F81, images, 3)
         assert U.basis == V.basis and U.span_idx == V.span_idx
         checked += 1
@@ -334,12 +334,11 @@ def test_construct_w_basis_is_what_span_picks():
 
 
 def test_construct_w_valid_is_sidon():
-    emb = F81.subfield(9)
-    for xi in F81.iter_elements():
-        if xi.is_zero() or emb.contains(xi):
+    for xi in range(80):
+        if xi % F9_STRIDE == 0:
             continue
         try:
-            U = construct_w(F81, 3, 2, 1, F81.one(), xi)
+            U = construct_w(F81, 3, 2, 1, 0, xi)
         except SubspaceError:
             continue
         if is_sidon(U)[0]:
@@ -349,30 +348,24 @@ def test_construct_w_valid_is_sidon():
 
 
 def test_validate_multi_orbit_r1_vacuous():
-    emb = F81.subfield(9)
-    xi = next(x for x in F81.iter_elements()
-              if not x.is_zero() and not emb.contains(x))
-    ok, report = validate_multi_orbit(F81, 3, 2, [F81.one()], xi)
+    ok, report = validate_multi_orbit(F81, 3, 2, [0], _xi_outside_f9())
     assert ok and report == []
-    with pytest.raises(SubspaceError):  # xi must lie outside F_{q^k}
-        validate_multi_orbit(F81, 3, 2, [F81.one()], emb.generator)
+    for xi in (F9_STRIDE, -1):  # xi must lie outside F_{q^k}
+        with pytest.raises(SubspaceError, match="outside"):
+            validate_multi_orbit(F81, 3, 2, [0], xi)
 
 
 def test_validate_multi_orbit_valid_pair():
     f = field_create(5, 4)
-    emb = f.subfield(25)
-    w = emb.generator
-    b = next(c for c in emb.elements() if f.is_irreducible_quadratic(c, w, 25))
-    xi = next(t for t in f.iter_elements()
-              if not t.is_zero() and (t * t + b * t + w).is_zero())
-    ok, report = validate_multi_orbit(f, 5, 2, [f.one(), w], xi)
+    w, xi = _w_and_xi(f)
+    ok, report = validate_multi_orbit(f, 5, 2, [0, w], xi)
     assert ok, report
 
 
 def test_validate_multi_orbit_wrong_extension_rejected():
     f = field_create(3, 4)
     with pytest.raises(SubspaceError):
-        validate_multi_orbit(f, 3, 3, [f.one()], f.from_idx(1))
+        validate_multi_orbit(f, 3, 3, [0], 1)
 
 
 def test_construct_g_q3(pipeline_q3):
@@ -414,26 +407,26 @@ def test_construct_g_rejects_bad_s():
 def test_coset_representatives_q3(pipeline_q3):
     code, _, _, _ = pipeline_q3
     U = code.representatives[0]
-    reps = [F81.from_idx(a) for a in coset_representatives(U)]
+    reps = coset_representatives(U)
     assert len(reps) == 4  # (3^2 - 1)/2
-    units = F81.subfield(3).elements()[1:]
+    units = range(0, 80, F81.subfield_stride(3))
     for d1, d2 in itertools.combinations(reps, 2):
         for lam in units:
-            assert sub(d1, lam * d2).idx not in U.span_idx
+            assert sub(F81, d1, F81.mul(lam, d2)) not in U.span_idx
     for d in reps:
-        assert d.idx not in U.span_idx
+        assert d not in U.span_idx
 
 
 def test_coset_representatives_hyperplane():
     f16 = field_create(2, 4)
-    U = _subspace(f16, [0, 1, 2], 2)
+    U = span(f16, [0, 1, 2], 2)
     assert U.dim == 3
     assert len(coset_representatives(U)) == 1
 
 
 def test_coset_representatives_q2_m6():
     f = field_create(2, 6)
-    U = _subspace(f, [0, 1, 2], 2)
+    U = span(f, [0, 1, 2], 2)
     assert U.dim == 3
     assert len(coset_representatives(U)) == 7  # (2^3 - 1)/1
 
@@ -442,7 +435,7 @@ def _random_subspace(p, e, q, dim, seed):
     f = field_create(p, e)
     rng = random.Random(seed)
     while True:
-        U = _subspace(f, rng.sample(range(f.N), dim), q)
+        U = span(f, rng.sample(range(f.N), dim), q)
         if U.dim == dim:
             return U
 
@@ -493,7 +486,7 @@ def test_coset_family_scalings_partition_nonzero_field(case):
     # pairwise disjoint and cover F^* exactly
     for code in _family_codes(case):
         f, q = code.field, code.ground_q
-        units = [lam.idx for lam in f.subfield(q).elements()[1:]]
+        units = range(0, f.N, f.subfield_stride(q))
         fam = build_coset_family(code)
         # the cosets come grouped by representative, t to a group
         t = len(fam.cosets) // len(code.representatives)
@@ -518,7 +511,7 @@ def test_coset_family_q3(pipeline_q3):
 
 
 def test_scaled_pair_orbits_are_not_disjoint():
-    U = _subspace(F81, [0, 1], 3)
+    U = span(F81, [0, 1], 3)
     code = CyclicSubspaceCode(F81, 3, (U, scaled(U, 5)))
     assert not code.orbits_disjoint()
     with pytest.raises(SubspaceError):
