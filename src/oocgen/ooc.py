@@ -12,8 +12,6 @@ with i <= j for one word j at a time, in sparse and dense families alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .subspaces import (_column_counts, _peak, build_coset_family,
                         check_g_params)
@@ -35,20 +33,31 @@ class VerificationError(RuntimeError):
 # index sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IndexSet:
     """A subset of Z_n."""
 
-    n: int
-    members: frozenset
+    __slots__ = ("n", "members")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise OocError(f"modulus must be a positive integer, "
-                           f"got {self.n!r}")
-        if any(type(a) is not int or not 0 <= a < self.n
-               for a in self.members):
+    def __init__(self, n, members):
+        if type(n) is not int or n < 1:
+            raise OocError(f"modulus must be a positive integer, got {n!r}")
+        # the type check comes first, so min and max compare ints only
+        if members and (set(map(type, members)) != {int}
+                        or min(members) < 0 or max(members) >= n):
             raise OocError("index set member out of range")
+        self.n = n
+        self.members = members
+
+    def __eq__(self, other):
+        if type(other) is not IndexSet:
+            return NotImplemented
+        return self.n == other.n and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.n, self.members))
+
+    def __repr__(self):
+        return f"IndexSet(n={self.n}, members={self.members!r})"
 
     def sorted(self):
         return sorted(self.members)
@@ -76,14 +85,24 @@ def s_of_w(fld, W):
 # correlation maxima
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Worst-case correlations of a family, with witnesses."""
 
-    max_auto: int
-    max_cross: int
-    witnesses: list
-    passed: bool
+    __slots__ = ("max_auto", "max_cross", "witnesses", "passed")
+
+    def __init__(self, max_auto, max_cross, witnesses, passed):
+        self.max_auto = max_auto
+        self.max_cross = max_cross
+        self.witnesses = witnesses
+        self.passed = passed
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return f"VerificationReport({self.to_dict()!r})"
 
     def to_dict(self):
         return {
@@ -170,6 +189,7 @@ def optimality_ratio(size, n, w, lam):
     j = johnson_bound(n, w, lam)
     if j == 0:
         raise OocError("Johnson bound is zero; ratio undefined")
+    from fractions import Fraction  # a few ms at import, so only here
     return Fraction(size, j)
 
 
@@ -177,14 +197,12 @@ def optimality_ratio(size, n, w, lam):
 # the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OocParams:
-    n: int
-    w: int
-    lam: int
-    size: int
-    johnson: int
-    ratio: Fraction
+    __slots__ = ("n", "w", "lam", "size", "johnson", "ratio")
+
+    def __init__(self, n, w, lam, size, johnson, ratio):
+        self.n, self.w, self.lam = n, w, lam
+        self.size, self.johnson, self.ratio = size, johnson, ratio
 
     def to_dict(self):
         return {"n": self.n, "w": self.w, "lambda": self.lam,
@@ -192,14 +210,13 @@ class OocParams:
                 "ratio": [self.ratio.numerator, self.ratio.denominator]}
 
 
-@dataclass
 class OocCode:
     """A verified OOC; each codeword is an IndexSet, its support."""
 
-    n: int
-    w: int
-    lam: int
-    codewords: tuple
+    __slots__ = ("n", "w", "lam", "codewords")
+
+    def __init__(self, n, w, lam, codewords):
+        self.n, self.w, self.lam, self.codewords = n, w, lam, codewords
 
 
 def build_ooc(code):
@@ -231,6 +248,7 @@ def params_table(specs):
     count and the weight column is q^k.  Specs outside construct_g's
     domain are rejected.
     """
+    from fractions import Fraction
     rows = []
     for q, k in specs:
         check_g_params(q, k)
@@ -287,8 +305,11 @@ def read_ooc_text(path):
                 continue
             if set(line) - {"0", "1"}:
                 raise OocError(f"invalid codeword line: {line[:40]!r}")
-            sets.append(IndexSet(len(line), frozenset(
-                i for i, b in enumerate(line) if b == "1")))
+            members, i = [], line.find("1")
+            while i >= 0:
+                members.append(i)
+                i = line.find("1", i + 1)
+            sets.append(IndexSet(len(line), frozenset(members)))
     if not sets:
         raise OocError("no codewords in file")
     if len({X.n for X in sets}) != 1:

@@ -9,9 +9,12 @@ count on the nonzero indices answers it for every a at once:
 
 One kernel makes every such count in the package: _column_counts adds the
 shifts of stacked indicators into bit-sliced counter planes, for sparse and
-dense sets alike.  The sweep then reads the planes through masks:
-_equal gives the positions whose count is a given value, and _peak the
-largest count in a mask with the lowest position that holds it.
+dense sets alike, four rows at a time through a carry-save (Harley–Seal)
+adder in front of a ripple carry.  The sweep then reads the planes
+through masks: _equal gives the positions whose count is a given value,
+and _peak the largest count in a mask with the lowest position that holds
+it.  On an orbit's own column, the positions whose count is the whole
+subspace are its stabiliser, so the same pass also tells a short orbit.
 ooc.verify_oos runs the same kernel over the OOC words.
 """
 
@@ -19,9 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .field import (ExtensionField, factor_prime_power, field_from_descriptor,
+from .field import (factor_prime_power, field_from_descriptor,
                     field_for_prime_power)
 
 
@@ -42,31 +44,60 @@ def _column_counts(sets, n):
 
     Each set is a collection of distinct members of range(n).  Set i's
     doubled indicator x | x << n sits at bit offset 2n·i of one integer B,
-    built up as j grows.  For y in X_j, bits [0, n) of block i of B >> y
-    hold the rotation X_i - y, so adding B >> y over all y in X_j leaves
-    c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the count is
-    that bit of plane k.  Each addition is a ripple carry over the planes
-    that stops once the carry is 0.  Bit positions never interact, so the
-    junk in bits [n, 2n) of a block never reaches [0, n), and no count
-    exceeds |X_j| < 2^d with d the number of planes.  Every column reuses
-    one list of planes, reset in place, so the caller's reference to the
-    last column does not keep its counts alive while the next is counted.
+    built up as j grows.  For y in X_j, bits [0, n) of block i of the row
+    B >> y hold the rotation X_i - y, so adding the rows over all y in X_j
+    leaves c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the
+    count is that bit of plane k.
+
+    The rows enter four at a time through a carry-save (Harley–Seal)
+    front end: two levels of full adders, five plane operations each, fold
+    them into planes 0 (ones) and 1 (twos) and leave one carry of weight
+    four, which ripples up from plane 2 until it is 0.  The 0-3 rows left
+    after the last group ripple in from plane 0.  Bit positions never
+    interact, so the junk in bits [n, 2n) of a block never reaches [0, n),
+    and no count exceeds |X_j| < 2^d with d the number of planes; a group
+    of four needs |X_j| >= 4, so d >= 3.  Every column reuses one list of
+    planes, reset in place, so the caller's reference to the last column
+    does not keep its counts alive while the next is counted.
     """
     B, planes = 0, []
     for j, X in enumerate(sets):
+        rows = list(X)
         x = 0
-        for a in X:
+        for a in rows:
             x |= 1 << a
         B |= (x | x << n) << (2 * n * j)
-        planes[:] = [0] * len(X).bit_length()
-        for y in X:
-            carry = B >> y
-            for k, P in enumerate(planes):
-                planes[k] = P ^ carry
-                carry &= P
-                if not carry:
-                    break
+        planes[:] = [0] * len(rows).bit_length()
+        cut = len(rows) & -4
+        if cut:
+            ones = twos = 0
+            for a, b, c, d in zip(rows[0:cut:4], rows[1:cut:4],
+                                  rows[2:cut:4], rows[3:cut:4]):
+                a, b = B >> a, B >> b
+                u = ones ^ a  # ones + a + b = ones' + 2 t
+                t = ones & a | u & b
+                ones = u ^ b
+                a, b = B >> c, B >> d  # the first two rows are freed
+                u = ones ^ a  # ones + a + b = ones' + 2 h
+                h = ones & a | u & b
+                ones = u ^ b
+                u = twos ^ t  # twos + t + h = twos' + 2 fours
+                _ripple(planes, 2, twos & t | u & h)
+                twos = u ^ h
+            planes[0], planes[1] = ones, twos
+        for y in rows[cut:]:
+            _ripple(planes, 0, B >> y)
         yield planes
+
+
+def _ripple(planes, k, carry):
+    """Add carry into planes from plane k up, until the carry is 0."""
+    for k in range(k, len(planes)):
+        P = planes[k]
+        planes[k] = P ^ carry
+        carry &= P
+        if not carry:
+            return
 
 
 def _peak(planes, mask):
@@ -136,16 +167,13 @@ def span(field, indices, ground_q):
     return Subspace(field, ground_q, basis, current)
 
 
-@dataclass
 class CyclicSubspaceCode:
     """A union of orbits, given by representative subspaces."""
 
-    field: ExtensionField
-    ground_q: int
-    representatives: tuple
-
-    def __post_init__(self):
-        self.representatives = tuple(self.representatives)
+    def __init__(self, field, ground_q, representatives):
+        self.field = field
+        self.ground_q = ground_q
+        self.representatives = tuple(representatives)
         for U in self.representatives:
             if U.field is not self.field:
                 raise SubspaceError("representatives live in different "
@@ -163,9 +191,19 @@ class CyclicSubspaceCode:
         return self.representatives[0].dim
 
     @functools.cached_property
+    def _sweep(self):
+        """_orbit_sweep(self), swept once per code."""
+        return _orbit_sweep(self)
+
+    @property
     def min_distance(self):
-        """code_min_distance(self), swept once per code."""
-        return code_min_distance(self)
+        return self._sweep[0]
+
+    @property
+    def stabiliser_orders(self):
+        """Per representative U, the order of {alpha : alpha U = U}; the
+        orbit of U has N / order members."""
+        return self._sweep[1]
 
     def orbits_disjoint(self):
         """No two representatives share an orbit: the distance is 0 exactly
@@ -213,23 +251,31 @@ def code_from_dict(d):
 
 
 def code_min_distance(code):
-    """Minimum subspace distance over the whole union of orbits.
+    """Minimum subspace distance over the whole union of orbits."""
+    return _orbit_sweep(code)[0]
+
+
+def _orbit_sweep(code):
+    """The minimum distance and the stabiliser order of each orbit.
 
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
     sweep of alpha against fixed representatives is exact.  One pass of
     _column_counts gives c[a] = |U_i ∩ omega^a U_j| - 1 for every orbit
     pair i <= j; on the diagonal, the a with c[a] = |U_i| - 1 give
-    omega^a U_i = U_i, the same codeword, and are left out.  Every count
-    left must be q^e - 1 for some e, the size of a subspace less zero.
+    omega^a U_i = U_i, the same codeword: they are U_i's stabiliser, and
+    are left out of the distance.  Every count left must be q^e - 1 for
+    some e, the size of a subspace less zero.
     """
     reps = code.representatives
     q, N, k = code.ground_q, code.field.N, code.dim
     low, stride = (1 << N) - 1, 2 * N
-    below, best = 0, None
+    below, best, orders = 0, None, []
     for j, planes in enumerate(_column_counts(map(_nonzero, reps), N)):
         diag = low << stride * j
         # the stabiliser of U_j: the a with |S_j ∩ omega^a S_j| = |S_j|
-        region = below | diag & ~_equal(planes, q ** k - 1, diag)
+        stab = _equal(planes, q ** k - 1, diag)
+        orders.append(stab.bit_count())
+        region = below | diag & ~stab
         bad = region
         for e in range(k + 1):
             bad &= ~_equal(planes, q ** e - 1, bad)
@@ -245,7 +291,7 @@ def code_min_distance(code):
     if best is None:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
                             "is undefined")
-    return 2 * k - 2 * _log_exact(1 + best, q)
+    return 2 * k - 2 * _log_exact(1 + best, q), tuple(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +442,33 @@ def coset_representatives(U):
     return [a for a, _ in _coset_scan(U)]
 
 
-@dataclass
 class CosetFamily:
     """The affine family {U_i + omega^a}: each coset W^* as the frozenset of
     its log indices, grouped by U_i in order, each group in scan order."""
 
-    cosets: tuple
+    __slots__ = ("cosets",)
+
+    def __init__(self, cosets):
+        self.cosets = cosets
 
 
 def build_coset_family(code):
     """The cosets U_i + omega^a of every representative U_i, each a from
-    one log-domain covering scan, as frozensets of log indices."""
+    one log-domain covering scan, as frozensets of log indices.
+
+    The orbits must be disjoint and full-length: each U_i stabilised by
+    F_q^* alone.  A larger stabiliser would make two cosets of one orbit
+    cyclic shifts of each other, so a short orbit is refused before the
+    scan.
+    """
     if not code.orbits_disjoint():
         raise SubspaceError("code orbits are not pairwise disjoint")
+    q = code.ground_q
+    for j, order in enumerate(code.stabiliser_orders):
+        if order != q - 1:
+            raise SubspaceError(f"orbit {j} is short: stabiliser of order "
+                                f"{order}, the construction needs "
+                                f"q - 1 = {q - 1}")
     return CosetFamily(tuple(frozenset(coset)
                              for U in code.representatives
                              for _, coset in _coset_scan(U)))

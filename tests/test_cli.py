@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oocgen import cli
 from oocgen.cli import main
 from conftest import bit_level_ooc_ok, canonical_sidon_f64
-from oocgen import CyclicSubspaceCode, field_create, subspace_to_dict
+from oocgen import (CyclicSubspaceCode, construct_g, field_create,
+                    subspace_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,35 @@ def test_construct_code_file_degenerate_orbits_are_data_error(
     assert main(["construct", "--code", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _short_orbit_code_dicts():
+    """Two code files with a short orbit, one whose stabiliser is larger
+    than F_3^*: U = F_9 inside F_81 alone, and construct_g(3, 3, 1)'s orbit
+    together with omega·F_27 inside F_729 (F_27^* is the multiples of 28)."""
+    F81 = field_create(3, 4)
+    alone = {"field": F81.descriptor(),
+             "orbits": [{"ground_q": 3, "basis": [0, 10]}]}
+    paired = construct_g(3, 3, 1).to_dict()
+    paired["orbits"].append({"ground_q": 3, "basis": [1, 29, 57]})
+    return [(alone, "orbit 0 is short: stabiliser of order 8"),
+            (paired, "orbit 1 is short: stabiliser of order 26")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["F9_in_F81", "q3k3_plus_F27"])
+def test_construct_code_file_short_orbit_is_data_error(tmp_path, capsys,
+                                                       case):
+    # the distance and disjointness checks pass; the sweep would fail at
+    # max_cross = w, because two cosets of a short orbit are cyclic shifts
+    # of each other
+    code, message = _short_orbit_code_dicts()[case]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["construct", "--code", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "the construction needs q - 1 = 2" in err
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -46,6 +46,14 @@ GOLDEN = {
         "196cf806fa6dc0ba1bb26a81bd26230a472760377b83d05b7347b473010f8621",
         "12dcce2958ed895f504845b0d4f3846d71381a59795ca6b38e543b5fa7ea5442",
     ],
+    # w = 81: twenty groups of four rows and one left over, in 7 planes;
+    # recorded from the ripple-carry kernel
+    (3, 4): [
+        "6beced41e4006e2bce3acecf5f48715d69426d4efdce1176db961802b0df6916",
+        "76a75f267e985035a197015e53f029ab2b61b88b97b2a6f8eb31fdefe7bebecf",
+        "1a6777b5537b8012aa04f67971dbca65517d7467736c4d9a49d1e08d9aa42893",
+        "3dfa8b4eb633ed5757189d81239cf7f871f14325154965710cfedede1217a6ca",
+    ],
 }
 
 

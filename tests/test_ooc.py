@@ -44,6 +44,22 @@ def test_bits_file_roundtrip(tmp_path, ooc):
     assert lines == ["".join(map(str, bits(X))) for X in ooc.codewords]
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 70).flatmap(lambda n: st.lists(
+    st.text("01", min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_read_ooc_text_matches_per_character_parse(tmp_path, lines):
+    # an all-0 line (no hit) and an all-1 line (a hit at every step) are
+    # the find loop's edge cases, so every file holds both
+    n = len(lines[0])
+    lines = ["0" * n, "1" * n, *lines]
+    path = tmp_path / "x.ooc"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    sets, lam = read_ooc_text(path)
+    assert lam is None
+    assert sets == [IndexSet(n, frozenset(i for i, b in enumerate(line)
+                                          if b == "1")) for line in lines]
+
+
 def test_support_basic():
     X = IndexSet(4, frozenset({0, 2}))
     assert bits(support(X)) == (1, 0, 1, 0)
@@ -60,10 +76,18 @@ def test_support_unsupport_roundtrip():
 
 
 @pytest.mark.parametrize("n,members", [(0, set()), (5, {1.5}), (5, {-1}),
-                                       (True, {0}), (5, {True})])
+                                       (True, {0}), (5, {True}), (5, {5}),
+                                       (5, {0, True}), (5, {0, 4, 5})])
 def test_index_set_rejects_bad_modulus_or_member(n, members):
-    with pytest.raises(OocError):
+    message = ("index set member out of range" if type(n) is int and n > 0
+               else "modulus must be a positive integer")
+    with pytest.raises(OocError, match=message):
         IndexSet(n, frozenset(members))
+
+
+def test_index_set_accepts_the_empty_set_and_the_whole_range():
+    assert IndexSet(5, frozenset()).members == frozenset()
+    assert IndexSet(5, frozenset(range(5))).sorted() == [0, 1, 2, 3, 4]
 
 
 def test_unsupport_rejects_out_of_range():
@@ -279,6 +303,37 @@ def test_column_counts_at_sixteen_planes(m):
     c = _plane_counts(planes, m + 1)
     assert c == _range_counts(m, m + 1)
     assert c[0] == m
+
+
+def _check_columns(sets, n):
+    """Every column of _column_counts against the bit oracle: block i of
+    column j holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length() planes."""
+    stride = 2 * n
+    for j, planes in enumerate(_column_counts(sets, n)):
+        assert len(planes) == len(sets[j]).bit_length()
+        yb = [1 if t in sets[j] else 0 for t in range(n)]
+        for i in range(j + 1):
+            xb = [1 if t in sets[i] else 0 for t in range(n)]
+            block = [P >> stride * i for P in planes]
+            assert _plane_counts(block, n) == [bit_corr(yb, xb, tau)
+                                               for tau in range(n)]
+
+
+def test_column_counts_for_every_set_size_to_nine():
+    # sizes 0-9 leave 0-3 rows after the groups of four and give 0-4
+    # planes; each column is checked against every column before it
+    rng = random.Random(16)
+    n = 13
+    sizes = list(range(10)) + [9, 4, 0, 7, 1, 8, 3]
+    _check_columns([frozenset(rng.sample(range(n), w)) for w in sizes], n)
+
+
+@given(st.integers(9, 24).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.frozensets(st.integers(0, n - 1), max_size=9), min_size=1,
+    max_size=6))))
+def test_column_counts_of_mixed_sizes_match_bit_oracle(case):
+    n, sets = case
+    _check_columns(sets, n)
 
 
 @st.composite

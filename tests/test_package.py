@@ -35,6 +35,18 @@ def test_import_loads_no_sympy_or_numpy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # each costs milliseconds on every process start: the package's
+    # classes are plain, and Fraction is imported where a ratio is made
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import oocgen.cli; "
+         "print(sorted(m for m in set(sys.modules) - before if m in "
+         "('dataclasses', 'fractions', 'decimal', 'inspect')))"],
+        env=_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_under_python_O_writes_golden_files(tmp_path):
     # python -O strips assert; the construct and verify runs must not
     # depend on one

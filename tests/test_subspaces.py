@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     build_ooc, code_min_distance, construct_g, construct_w,
@@ -183,6 +184,45 @@ def test_orbit_size_formula():
         size = orbit_size(U)
         assert any(size == 80 // (3 ** t - 1)
                    for t in (1, 2, 4) if 80 % (3 ** t - 1) == 0)
+
+
+# (q, field): F_81 over F_3 and F_9, F_16 over F_2, F_64 over F_2 and F_4
+STABILISER_FIELDS = [(q, field_create(p, e)) for p, e, q in
+                     [(3, 4, 3), (3, 4, 9), (2, 4, 2), (2, 6, 2), (2, 6, 4)]]
+
+
+@st.composite
+def _equal_dim_subspaces(draw):
+    """One to three F_q-subspaces of one dimension.  Each spans a random
+    F_{q^d}-subspace of the field for a d that divides the dimension, so
+    d > 1 gives a short orbit, stabilised by F_{q^d}^* at least."""
+    q, f = draw(st.sampled_from(STABILISER_FIELDS))
+    m = _log_exact(f.order, q)
+    dim = draw(st.integers(1, m - 1))
+    reps = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from([d for d in range(1, dim + 1)
+                                  if dim % d == 0 and m % d == 0]))
+        stride = f.subfield_stride(q ** d)
+        heads = draw(st.lists(st.integers(0, f.N - 1), min_size=dim // d,
+                              max_size=dim // d))
+        U = span(f, [(b + stride * g) % f.N for b in heads for g in range(d)],
+                 q)
+        if U.dim == dim:
+            reps.append(U)
+    assume(reps)
+    return reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equal_dim_subspaces())
+def test_stabiliser_orders_match_orbit_size_oracle(reps):
+    # the stabiliser of U is read off the distance sweep's diagonal, the a
+    # with |U ∩ omega^a U| = |U|; the pair loop counts the same a
+    f = reps[0].field
+    code = CyclicSubspaceCode(f, reps[0].ground_q, reps)
+    assert code.stabiliser_orders == tuple(f.N // orbit_size(U)
+                                           for U in reps)
 
 
 # ---------------------------------------------------------------------------
