@@ -2,22 +2,27 @@
 
 An element is its discrete-log index with respect to a fixed primitive
 element omega: an int in -1..N-1, where -1 is zero and i >= 0 is omega^i.
-Full exp/log tables are built at construction, so ExtensionField.mul and
-powers are index arithmetic.  Addition stays in the log domain too: a Zech
-table holds zech[i] = log(1 + omega^i) (-1 when that sum is zero), so
+ExtensionField.mul and powers are index arithmetic.  Addition stays in the
+log domain too: the one table a field keeps, the Zech table, holds
+zech[i] = log(1 + omega^i) (-1 when that sum is zero), so
 ExtensionField.add(a, b) = a + zech[b - a] is one lookup.  The subfield of
 order p^d is an index stride, N / (p^d - 1): its nonzero elements are the
-multiples of the stride.  The three tables are typed arrays (array.array,
-4-byte entries, 8-byte once the order reaches 2^31), so together they hold
-about 12 bytes per field element.
+multiples of the stride.  The Zech table is a typed array (array.array,
+4-byte entries), 4 bytes per field element; the log table it is filled
+from lives only while the field is built, so the build peaks at 8 bytes
+per element.  Orders above MAX_ORDER are refused before anything is built.
 
-The exp table is built one table-driven omega-step per element: multiplying
-by omega is F_p-linear, so the code of omega*c is the sum of two
-precomputed products, one for each half of c's digits, summed without
-carries and mapped back to digits by lookup (ExtensionField._exp_log_tables).
+The log table is built one table-driven omega-step per element:
+multiplying by omega is F_p-linear, so the code of omega*c is the sum of
+two precomputed products, one for each half of c's digits, summed without
+carries and mapped back to digits by lookup (ExtensionField._log_table).
 Polynomial arithmetic on the coefficient ("code") representation,
 sum(c_i x^i) mod modulus encoded as the integer sum(c_i p^i), is used only
 to precompute those products and to test primitivity.
+
+Primality is a deterministic Miller-Rabin, exact below 3.3e24; a prime
+power splits by exact integer roots.  Trial division factors only
+N = p^e - 1, below MAX_ORDER.
 
 All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
@@ -26,6 +31,7 @@ same (p, e, modulus) are bit-identical.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 
 
@@ -33,11 +39,66 @@ class FieldError(ValueError):
     """Invalid field parameters or out-of-domain arguments."""
 
 
+# The largest field order built.  Its tables take 8 bytes per element while
+# built, 512 MiB at 2^26, and the order stays below 2^31, so every table
+# entry fits a 4-byte signed int.
+MAX_ORDER = 2 ** 26
+
+# Miller-Rabin with the thirteen prime bases up to 41 decides primality
+# exactly for every n below this bound, psi_13 (Sorenson and Webster,
+# 2015); the twelve bases up to 37 are exact only below psi_12 ~ 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; FieldError from _MR_LIMIT on, where the
+    bases are no longer known to be exact."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} is too large to test for primality (the "
+                         f"limit is {_MR_LIMIT})")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1: Newton's iteration from above, started
+    within a factor 1 + 1e-9 of the root by floating point where that fits
+    a float, else from the power of two above it."""
+    lg = math.log2(n) / k
+    x = (int(2 ** lg * (1 + 1e-9)) + 1 if lg < 1000
+         else 1 << -(-n.bit_length() // k))
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_factors(n):
     """Prime factorisation {prime: exponent} of n by trial division.
 
-    Empty for n < 2.  The integers factored here (p, q and N = p^e - 1 of a
-    field whose tables fit in memory) are small enough for trial division.
+    Empty for n < 2.  It factors only integers no larger than MAX_ORDER,
+    N = p^e - 1 and subfield orders, so trial division stops below
+    sqrt(MAX_ORDER).
     """
     factors = {}
     d = 2
@@ -100,14 +161,26 @@ def canonical_modulus(p, e):
 # the field
 # ---------------------------------------------------------------------------
 
+def _check_order(p, e):
+    """Refuse F_{p^e} above MAX_ORDER before anything is built, naming the
+    bytes its tables would take while built: 8 per element."""
+    if e > MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+        need = (f"{8 * p ** e:.3g}" if e * p.bit_length() < 1000
+                else f"8 * {p}^{e}")
+        raise FieldError(
+            f"F_{p}^{e} is too large: its tables would need {need} bytes, "
+            f"above the limit of {8 * MAX_ORDER} bytes (order {MAX_ORDER})")
+
+
 class ExtensionField:
-    """F_{p^e} with exp/log tables for a canonical primitive element."""
+    """F_{p^e} with the Zech table of a canonical primitive element."""
 
     def __init__(self, p, e, modulus=None, omega_code=None):
-        if type(p) is not int or _prime_factors(p) != {p: 1}:
+        if type(p) is not int or not _is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
+        _check_order(p, e)
         self.p = p
         self.e = e
         self.order = p ** e
@@ -131,27 +204,26 @@ class ExtensionField:
             raise FieldError(f"omega code {omega_code} is not primitive")
         self.omega_code = omega_code
 
-        # exp[i] is the code of omega^i and log[code] = i; for F_2 (N = 1)
-        # omega is 1 and exp = [1].  log[0] = -1 encodes zero.
-        tc = "i" if self.order < 2 ** 31 else "q"
-        self.exp, self.log = self._exp_log_tables(tc)
-        if self.log.count(-1) != 1:
-            raise FieldError("exp table is not a bijection")  # unreachable
+        # log[code] = i for the code of omega^i; log[0] = -1 encodes zero.
+        # For F_2 (N = 1) omega is 1.
+        log = self._log_table()
+        if log.count(-1) != 1:
+            raise FieldError("log table is not a bijection")  # unreachable
 
         # zech[i] = log(1 + omega^i).  Adding 1 steps the constant digit mod
         # p: it takes each code c = j (mod p) to the next code, cyclically,
         # of its block of p consecutive codes.  So zech[log[c]] = log[c + 1]
         # pairs the strided views log[j::p] and log[(j + 1) % p::p], with no
         # copy; log[0] = -1 is zero, which has no entry.
-        self.zech = array(tc, [0]) * len(self.exp)
-        with memoryview(self.zech) as zech_w, memoryview(self.log) as log_r:
+        self.zech = array("i", [0]) * max(self.N, 1)
+        with memoryview(self.zech) as zech_w, memoryview(log) as log_r:
             for j in range(p):
                 for i, z in zip(log_r[j::p], log_r[(j + 1) % p::p]):
                     if i >= 0:
                         zech_w[i] = z
 
-    def _exp_log_tables(self, tc):
-        """exp and log tables (arrays of typecode tc), one table-driven
+    def _log_table(self):
+        """The log table (4-byte array, -1 at code 0), one table-driven
         omega-step per element.
 
         Multiplication by omega is F_p-linear.  Split a code as lo + hi*P
@@ -159,8 +231,8 @@ class ExtensionField:
         and both products are precomputed with mul_codes for every lo and hi.
         They are stored spread: digit j sits in a slot of base B = 2p - 1,
         so their sum never carries, and each half of the sum maps back to
-        p-ary digits (every slot mod p) by one lookup in r.  The tables hold
-        2p^h + p^(e-h) + B^h entries, O(order) for every (p, e).
+        p-ary digits (every slot mod p) by one lookup in r.  The step tables
+        hold 2p^h + p^(e-h) + B^h entries, O(order) for every (p, e).
         """
         p, e, omega = self.p, self.e, self.omega_code
         h = (e + 1) // 2
@@ -177,20 +249,16 @@ class ExtensionField:
         w_lo = [spread_code(self.mul_codes(omega, lo)) for lo in range(P)]
         w_hi = [spread_code(self.mul_codes(omega, hi * P))
                 for hi in range(p ** (e - h))]
-        n = max(self.N, 1)
-        exp = array(tc, [0]) * n
-        log = array(tc, [-1]) * self.order
-        # stored through memoryviews: an array item assignment parses its
+        log = array("i", [-1]) * self.order
+        # stored through a memoryview: an array item assignment parses its
         # argument with a format string, a memoryview's stores it directly
-        with memoryview(exp) as exp_w, memoryview(log) as log_w:
+        with memoryview(log) as log_w:
             lo, hi = 1, 0
-            for i in range(n):
-                c = lo + hi * P
-                exp_w[i] = c
-                log_w[c] = i
+            for i in range(max(self.N, 1)):
+                log_w[lo + hi * P] = i
                 s = w_lo[lo] + w_hi[hi]
                 lo, hi = r[s % Bh], r[s // Bh]
-        return exp, log
+        return log
 
     # -- code-level arithmetic (polynomial route, independent of the tables)
 
@@ -350,11 +418,22 @@ def field_from_descriptor(desc):
 
 
 def factor_prime_power(q):
-    """Split a prime power q into (p, e0) with q = p^e0."""
-    factors = _prime_factors(q)
-    if len(factors) != 1:
+    """Split a prime power q into (p, e0) with q = p^e0.
+
+    Each exact k-th root taken, k = 2, 3, 5, ... prime, moves a factor k
+    of the exponent from the base to e0; the base left must be prime.
+    """
+    if type(q) is not int or q < 2:
         raise FieldError(f"{q} is not a prime power")
-    (p, e0), = factors.items()
+    p, e0, k = q, 1, 2
+    while k <= p.bit_length():
+        r = _iroot(p, k)
+        if r ** k == p:
+            p, e0 = r, e0 * k
+        else:
+            k = next(j for j in itertools.count(k + 1) if _is_prime(j))
+    if not _is_prime(p):
+        raise FieldError(f"{q} is not a prime power")
     return p, e0
 
 

@@ -90,9 +90,15 @@ def bit_level_ooc_ok(words, lam):
 # ---------------------------------------------------------------------------
 
 def code_of(f, x):
-    """The coefficient code of the element with log index x: f.exp[x], and
-    0 for zero."""
-    return 0 if x < 0 else f.exp[x]
+    """The coefficient code of the element with log index x, and 0 for
+    zero: read from the polynomial-stepping oracle's exp table."""
+    return 0 if x < 0 else poly_exp_table(f)[0][x]
+
+
+def log_of(f, c):
+    """The log index of the element with coefficient code c (-1 for zero),
+    from the oracle's log table."""
+    return poly_exp_table(f)[1][c]
 
 
 def neg(f, x):
@@ -132,16 +138,17 @@ def check_field_conditions(fld, w_lists, lam):
 
     (1) |W_i ∩ alpha W_i| <= lam for alpha outside {0, 1};
     (2) |W_i ∩ alpha W_j| <= lam for i != j and nonzero alpha.
-    The W_i are given by log indices and read as codes, f.exp[x]; from there
-    it works with the field's polynomial-route multiply, independently of
-    the log and Zech tables, so its verdict and verify_oos's on the S(W_i)
-    cross-validate each other.  Returns (ok, witness).
+    The W_i are given by log indices and read as codes by code_of, from the
+    polynomial-stepping oracle; from there it works with the field's
+    polynomial-route multiply, independently of the library's Zech table,
+    so its verdict and verify_oos's on the S(W_i) cross-validate each
+    other.  Returns (ok, witness).
     """
     code_sets = []
     for i, W in enumerate(w_lists):
         if any(x < 0 for x in W):
             raise OocError(f"W_{i} contains zero")
-        code_sets.append(frozenset(fld.exp[x] for x in W))
+        code_sets.append(frozenset(code_of(fld, x) for x in W))
     if len(set(code_sets)) != len(code_sets):
         raise OocError("the W_i must be pairwise distinct")
     digits, mul, enc = fld._compute_digits, fld._mul_digits, fld._encode
@@ -243,10 +250,13 @@ def first_irreducible(p, e):
     raise AssertionError(f"no irreducible of degree {e} over F_{p}")
 
 
+@functools.cache
 def poly_exp_table(fld):
-    """Oracle for the field's exp, log and zech tables: step the digit
-    vector of omega^i by one polynomial product mod the modulus per element,
-    and add 1 to the constant digit for zech."""
+    """Oracle for the field's tables, cached per field: the exp table
+    (codes of omega^i), the log table (log[code], -1 at code 0) and the
+    zech table, as tuples.  It steps the digit vector of omega^i by one
+    polynomial product mod the modulus per element, and adds 1 to the
+    constant digit for zech."""
     n = max(fld.N, 1)
     exp, log = [0] * n, [-1] * fld.order
     d_omega = fld._compute_digits(fld.omega_code)
@@ -261,7 +271,7 @@ def poly_exp_table(fld):
         d = list(fld._compute_digits(c))
         d[0] = (d[0] + 1) % fld.p
         zech.append(log[fld._encode(d)])
-    return exp, log, zech
+    return tuple(exp), tuple(log), tuple(zech)
 
 
 def _matinv_mod(rows, p):
@@ -289,7 +299,7 @@ def _coord_map(f, order):
     the subfield of that order; its generator is the index stride g."""
     g = f.subfield_stride(order) % f.N
     d = round(math.log(order, f.p))
-    cols = [f._compute_digits(f.exp[(j + g * l) % f.N])
+    cols = [f._compute_digits(code_of(f, (j + g * l) % f.N))
             for j in range(f.e // d) for l in range(d)]
     rows = [[cols[c][r] for c in range(f.e)] for r in range(f.e)]
     return _matinv_mod(rows, f.p), [g * l % f.N for l in range(d)]
@@ -308,7 +318,8 @@ def subfield_coords(f, order, x):
         c = -1
         for l in range(d):
             if b[j * d + l]:
-                c = f.add(c, f.mul(f.log[b[j * d + l]], gen_powers[l]))
+                c = f.add(c, f.mul(log_of(f, b[j * d + l]),
+                                   gen_powers[l]))
         out.append(c)
     return tuple(out)
 

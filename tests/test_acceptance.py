@@ -10,7 +10,8 @@ import time
 from oocgen import (CyclicSubspaceCode, code_min_distance, construct_g,
                     construct_w, field_create, s_of_w, span, verify_oos)
 from conftest import (bit_level_ooc_ok, bits, check_field_conditions,
-                      gaussian_binomial, inverse, is_sidon, orbit_size, shift)
+                      gaussian_binomial, inverse, is_sidon, log_of, orbit_size,
+                      shift)
 
 
 def _report(name, detail):
@@ -137,7 +138,7 @@ def test_criterion_7_negative_controls(pipeline_q3):
     beta = 29
     ok, wit = check_field_conditions(f, [W, [f.mul(beta, x) for x in W]], 3)
     assert not ok
-    alpha = f.log[wit["alpha_code"]]
+    alpha = log_of(f, wit["alpha_code"])
     assert alpha in (beta, inverse(f, beta))
     assert wit["value"] == 4
     # (c) lowering lambda by one flips the q=3 pipeline to fail with value 3

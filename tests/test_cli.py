@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oocgen import cli
 from oocgen.cli import main
-from conftest import bit_level_ooc_ok, canonical_sidon_f64
-from oocgen import (CyclicSubspaceCode, construct_g, field_create,
-                    subspace_to_dict)
+from conftest import bit_level_ooc_ok, canonical_sidon_f64, poly_exp_table
+from oocgen import (CyclicSubspaceCode, code_from_dict, construct_g,
+                    field_create, field_from_descriptor, subspace_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +463,55 @@ def test_field_info(capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["p"] == 3 and info["e"] == 4 and info["N"] == 80
     assert info["subfield_orders"] == [3, 9, 81]
+
+
+@pytest.mark.parametrize("q,k", [(3, 4), (9, 2)])
+def test_change_of_primitive_element_gives_the_same_code(tmp_path, capsys,
+                                                        q, k):
+    # omega' = omega^u names each element omega^b as omega'^(b u^-1): the
+    # same subspaces, over a field rebuilt for a non-canonical generator,
+    # whose cosets are scanned in another order
+    assert main(["construct", "--q", str(q), "--k", str(k), "--s", "1",
+                 "--out", str(tmp_path / "old"), "--format", "json"]) == 0
+    before = json.loads(capsys.readouterr().out)
+    blob = json.loads((tmp_path / "old.code.json").read_text())
+    f = field_from_descriptor(blob["field"])
+    u = 7
+    u_inv = pow(u, -1, f.N)
+    blob["field"]["omega_index"] = f.pow_code(f.omega_code, u)
+    for orbit in blob["orbits"]:
+        orbit["basis"] = [b * u_inv % f.N for b in orbit["basis"]]
+    (tmp_path / "in.json").write_text(json.dumps(blob))
+    assert main(["construct", "--code", str(tmp_path / "in.json"),
+                 "--out", str(tmp_path / "new"), "--format", "json"]) == 0
+    after = json.loads(capsys.readouterr().out)
+
+    assert after["params"]["lambda"] == before["params"]["lambda"]
+    for key in ("max_auto", "max_cross"):
+        assert after["report"][key] == before["report"][key]
+    old_code, new_code = (
+        code_from_dict(json.loads((tmp_path / f"{run}.code.json")
+                                  .read_text())) for run in ("old", "new"))
+    g = new_code.field
+    assert g.omega_code != f.omega_code
+    assert tuple(g.zech) == poly_exp_table(g)[2]
+    assert new_code.min_distance == old_code.min_distance
+
+    # each new word is u^-1 times an old word, up to a shift by a multiple
+    # of N / (q - 1): the scan may pick another F_q^*-multiple of a coset
+    old_words, new_words = (
+        [frozenset(s) for s in json.loads((tmp_path / f"{run}.oos.json")
+                                          .read_text())["sets"]]
+        for run in ("old", "new"))
+    assert len(new_words) == len(old_words)
+    matched = set()
+    for word in new_words:
+        found = [old for step in range(0, f.N, f.N // (q - 1))
+                 if (old := frozenset(u * (x - step) % f.N for x in word))
+                 in old_words]
+        assert len(found) == 1
+        matched.add(found[0])
+    assert matched == set(old_words)
 
 
 def test_construct_json_summary(tmp_path, capsys):

@@ -6,17 +6,17 @@ import json
 import math
 import random
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import GF, Poly, Symbol, factorint
+from sympy import GF, Poly, Symbol, factorint, isprime
 
-from oocgen import (FieldError, field_create, field_from_descriptor,
-                    field_for_prime_power)
-from oocgen.field import ExtensionField, _prime_factors, canonical_modulus
-from conftest import (code_of, first_irreducible, gaussian_binomial, neg,
-                      poly_exp_table, sub, subfield_coords)
+from oocgen import (FieldError, factor_prime_power, field, field_create,
+                    field_from_descriptor, field_for_prime_power)
+from oocgen.field import (_MR_LIMIT, ExtensionField, _is_prime,
+                          _prime_factors, canonical_modulus)
+from conftest import (code_of, first_irreducible, gaussian_binomial, log_of,
+                      neg, poly_exp_table, sub, subfield_coords)
 
 
 def test_prime_field_f2():
@@ -32,15 +32,17 @@ def test_f81_omega_has_exact_order_80():
     for i in range(1, 80):
         acc = f.mul_codes(acc, f.omega_code)
         assert acc != 1, f"omega^{i} = 1"
-        assert f.exp[i] == acc
+        assert code_of(f, i) == acc
     assert f.mul_codes(acc, f.omega_code) == 1
 
 
 def test_explicit_modulus_f16():
     f = field_create(2, 4, [1, 1, 0, 0, 1])  # x^4 + x + 1
     assert f.N == 15
+    exp, log, zech = poly_exp_table(f)
+    assert tuple(f.zech) == zech
     for code in range(1, 16):
-        assert f.exp[f.log[code]] == code
+        assert exp[log[code]] == code
 
 
 def test_reducible_modulus_rejected():
@@ -77,9 +79,9 @@ def test_tables_match_polynomial_stepping_oracle(p, e):
     exp, log, zech = poly_exp_table(f)
     assert log.count(-1) == 1
     assert f.modulus == tuple(first_irreducible(p, e))
-    assert list(f.exp) == exp
-    assert list(f.log) == log
-    assert list(f.zech) == zech
+    # the field keeps its Zech table alone
+    assert not hasattr(f, "exp") and not hasattr(f, "log")
+    assert tuple(f.zech) == zech
     # omega^L has order N / gcd(L, N): omega is the smallest primitive code
     assert f.omega_code == min(c for c in range(1, f.order)
                                if math.gcd(log[c], f.N) == 1)
@@ -87,24 +89,18 @@ def test_tables_match_polynomial_stepping_oracle(p, e):
 
 @pytest.mark.parametrize("p,e", [(3, 8), (2, 12)])
 def test_tables_take_under_20_bytes_per_element(p, e):
-    # typed-array tables hold ~12 B/element; lists of ints took ~86.  The
-    # peak also bounds what the build keeps and any temporary list.
+    # named for its first bound, now tighter: the build peaks with a 4-byte
+    # log and a 4-byte Zech table (8 B/element) plus the omega-step tables,
+    # under 12 B; the field keeps only the Zech table, under 7 B
     gc.collect()
     tracemalloc.start()
     try:
         f = ExtensionField(p, e)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / f.order < 20
-
-
-def test_tables_with_8_byte_entries_match():
-    # orders >= 2^31 take typecode "q"; too big to build, so run the walk
-    f = field_create(3, 5)
-    exp, log = f._exp_log_tables("q")
-    assert exp.itemsize == log.itemsize == 8
-    assert exp == array("q", f.exp) and log == array("q", f.log)
+    assert peak / f.order < 12
+    assert kept / f.order < 7
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 6), (3, 5), (5, 3), (7, 2)])
@@ -142,7 +138,7 @@ def test_mul_codes_matches_sympy_product_mod_modulus(pe, data):
 
 def test_dlog_examples():
     f = field_create(3, 4)
-    assert f.exp[0] == 1 and f.log[0] == -1
+    assert code_of(f, 0) == 1 and log_of(f, 0) == -1
     assert f.mul(80, 0) == 0
     assert f.mul(5, 79) == 4
     assert f.mul(-1, 5) == f.mul(5, -1) == -1
@@ -153,15 +149,8 @@ def test_dlog_is_homomorphic():
     rng = random.Random(7)
     for _ in range(50):
         a, b = rng.randrange(15), rng.randrange(15)
-        assert f.exp[f.mul(a, b)] == f.mul_codes(f.exp[a], f.exp[b])
-
-
-def test_exp_log_bijection_f81():
-    f = field_create(3, 4)
-    for i in range(f.N):
-        assert f.log[f.exp[i]] == i
-    for code in range(1, f.order):
-        assert f.exp[f.log[code]] == code
+        assert code_of(f, f.mul(a, b)) == f.mul_codes(code_of(f, a),
+                                                      code_of(f, b))
 
 
 def _field_axioms_hold(f, a, b, c):
@@ -216,6 +205,50 @@ def test_zech_addition_and_negation_random(p, e):
 def test_prime_factors_match_sympy():
     for n in range(20000):
         assert _prime_factors(n) == (factorint(n) if n > 1 else {})
+
+
+def test_miller_rabin_matches_sympy():
+    for n in range(1, 10 ** 5 + 1):
+        assert _is_prime(n) == isprime(n), n
+    # Carmichael numbers and strong pseudoprimes to the first prime bases
+    for n in (561, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461, 2 ** 61 - 1, 2 ** 61 + 1):
+        assert _is_prime(n) == isprime(n), n
+
+
+def test_miller_rabin_refuses_numbers_beyond_its_exact_range():
+    assert _is_prime(_MR_LIMIT - 2) == isprime(_MR_LIMIT - 2)
+    for n in (_MR_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(FieldError, match="too large to test"):
+            _is_prime(n)
+    with pytest.raises(FieldError, match="too large to test"):
+        field_create(2 ** 89 - 1, 1)
+
+
+def test_factor_prime_power_matches_sympy():
+    for q in (*range(-2, 5000), 2 ** 61 - 1, 3 ** 40, (2 ** 61 - 1) ** 3,
+              10007 ** 5, 2 ** 100, 6 ** 30, 2 ** 40 * 3, 10 ** 18):
+        factors = factorint(q) if q > 1 else {}
+        if len(factors) == 1:
+            assert factor_prime_power(q) == next(iter(factors.items()))
+        else:
+            with pytest.raises(FieldError, match="not a prime power"):
+                factor_prime_power(q)
+
+
+def test_order_above_the_limit_is_refused_before_any_table(monkeypatch):
+    def unreachable(p, e):
+        raise AssertionError("modulus search started")
+    monkeypatch.setattr(field, "canonical_modulus", unreachable)
+    monkeypatch.setattr(field, "_FIELD_CACHE", {})
+    monkeypatch.setattr(field, "MAX_ORDER", 80)
+    with pytest.raises(FieldError, match="would need 648 bytes"):
+        field_create(3, 4)
+    with pytest.raises(FieldError, match="F_2\\^100 is too large"):
+        field_for_prime_power(2 ** 50, 2)
+    monkeypatch.setattr(field, "MAX_ORDER", 81)
+    with pytest.raises(AssertionError, match="modulus search started"):
+        field_create(3, 4)
 
 
 def test_field_axioms_random_f81():
@@ -330,8 +363,8 @@ def test_descriptor_roundtrip_bit_exact():
     f = field_create(5, 4)
     desc = json.loads(json.dumps(f.descriptor()))
     g = field_from_descriptor(desc)
-    assert g.exp == f.exp
-    assert g.log == f.log
+    assert g is not f
+    assert g.zech == f.zech
     assert g.modulus == f.modulus
 
 

@@ -14,7 +14,8 @@ from oocgen import field, ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _column_counts, _equal, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
-                      inverse, pair_difference_counts, pair_verify_oos, shift)
+                      inverse, log_of, pair_difference_counts, pair_verify_oos,
+                      shift)
 
 
 F81 = field_create(3, 4)
@@ -490,7 +491,7 @@ def test_field_conditions_dilated_pair_fails():
     assert not ok
     assert wit["value"] == 5
     # the witness alpha is exactly a dilation carrying one set onto the other
-    alpha = F81.log[wit["alpha_code"]]
+    alpha = log_of(F81, wit["alpha_code"])
     assert alpha in (beta, inverse(F81, beta))
 
 

@@ -61,6 +61,18 @@ def test_cli_under_python_O_writes_golden_files(tmp_path):
     assert verify.returncode == 0
 
 
+def test_field_info_refuses_a_huge_prime_field_at_once():
+    # q = 2^61 - 1 is prime: Miller-Rabin decides that, and the order
+    # limit refuses the field before any table or modulus search
+    run = subprocess.run(
+        [sys.executable, "-c", "from oocgen.cli import run; run()",
+         "field-info", "--q", str(2 ** 61 - 1), "--m", "1"],
+        env=_env(), capture_output=True, text=True, timeout=10)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "is too large" in run.stderr and "bytes" in run.stderr
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert, so no result guard may be one
     found = []

@@ -19,7 +19,7 @@ from oocgen import ooc, subspaces
 from oocgen.subspaces import Subspace, _log_exact
 from conftest import (canonical_sidon_f64, code_size, field_coset_family,
                       gaussian_binomial, greedy_coset_representatives,
-                      is_multi_sidon, is_sidon, orbit_size,
+                      is_multi_sidon, is_sidon, log_of, orbit_size,
                       neg, rank_dim_intersection, scaled, sub)
 
 
@@ -42,7 +42,8 @@ def test_span_two_independent():
     assert U.dim == 2
     assert len(U.span_idx) == 9
     # oracle: enumerate all 9 F_3-combinations a * 1 + b * omega directly
-    combos = {F81.add(F81.mul(F81.log[a], 0), F81.mul(F81.log[b], 1))
+    combos = {F81.add(F81.mul(log_of(F81, a), 0),
+                      F81.mul(log_of(F81, b), 1))
               for a in range(3) for b in range(3)}
     assert combos == U.span_idx
 
