@@ -6,8 +6,7 @@ from .field import (ExtensionField, FieldError, field_create,
 from .subspaces import (CosetFamily, CyclicSubspaceCode, Subspace,
                         SubspaceError, build_coset_family, code_from_dict,
                         code_min_distance, construct_g, construct_w,
-                        coset_representatives, span, subspace_to_dict,
-                        validate_multi_orbit)
+                        coset_representatives, span, subspace_to_dict)
 from .ooc import (IndexSet, OocCode, OocError, OocParams, VerificationError,
                   VerificationReport, build_ooc, johnson_bound,
                   optimality_ratio, params_table, s_of_w, verify_oos)

@@ -14,11 +14,11 @@ import json
 import os
 import sys
 
-from .field import FieldError, field_for_prime_power
+from .field import field_for_prime_power
 from .ooc import (OocError, VerificationError, build_ooc, johnson_bound,
                   oos_from_dict, oos_to_dict, optimality_ratio, params_table,
                   read_ooc_text, verify_oos, write_json, write_ooc_text)
-from .subspaces import SubspaceError, code_from_dict, construct_g
+from .subspaces import code_from_dict, construct_g
 
 
 def _write_all(prefix, writes):
@@ -57,11 +57,6 @@ def _cmd_construct(args):
     else:
         if args.q is None or args.k is None or args.s is None:
             print("construct needs either --code or all of --q --k --s",
-                  file=sys.stderr)
-            return 2
-        if args.q < 3:
-            print("the explicit construction requires q >= 3 "
-                  "(use --code for externally supplied orbits)",
                   file=sys.stderr)
             return 2
         code = construct_g(args.q, args.k, args.s)
@@ -199,8 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FieldError, SubspaceError, OocError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -342,28 +342,6 @@ class ExtensionField:
                 f"order {order} is not a subfield order of F_{p}^{e}")
         return self.N // (order - 1)
 
-    def rel_norm(self, x, from_order, to_order):
-        """Relative norm x^((q^k-1)/(q-1)) from F_{q^k} to F_q.
-
-        Here from_order = q^k and to_order = q; both must be subfield orders
-        with to_order | from_order in the lattice, and x must lie in the
-        embedded F_{q^k}.
-        """
-        src = self.subfield_stride(from_order)
-        dst = self.subfield_stride(to_order)
-        if (from_order - 1) % (to_order - 1):
-            raise FieldError(
-                f"F_{to_order} is not a subfield of F_{from_order}")
-        if x < 0:
-            return x
-        if x % src:
-            raise FieldError(f"omega^{x} is not in the subfield of order "
-                             f"{from_order}")
-        result = x * ((from_order - 1) // (to_order - 1)) % self.N
-        if result % dst:
-            raise FieldError(f"norm of omega^{x} is not in F_{to_order}")
-        return result
-
     def is_irreducible_quadratic(self, b, c, sub_order):
         """True iff x^2 + b*x + c has no root in the subfield of that order.
 

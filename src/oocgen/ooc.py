@@ -248,19 +248,14 @@ def params_table(specs):
     count and the weight column is q^k.  Specs outside construct_g's
     domain are rejected.
     """
-    from fractions import Fraction
     rows = []
     for q, k in specs:
         check_g_params(q, k)
-        n = q ** (2 * k) - 1
-        w = q ** k
-        lam = q
-        r = (q - 1) // 2
-        size = r * (q ** k - 1) // (q - 1)
-        j = johnson_bound(n, w, lam)
+        n, w, lam = q ** (2 * k) - 1, q ** k, q
+        size = (q - 1) // 2 * (q ** k - 1) // (q - 1)
         rows.append({"q": q, "k": k, "n": n, "w": w, "lambda": lam,
-                     "size": size, "johnson": j,
-                     "ratio": Fraction(size, j)})
+                     "size": size, "johnson": johnson_bound(n, w, lam),
+                     "ratio": optimality_ratio(size, n, w, lam)})
     return rows
 
 

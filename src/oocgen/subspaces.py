@@ -316,38 +316,12 @@ def construct_w(fld, q, k, s, mu, xi):
     return U
 
 
-def validate_multi_orbit(fld, q, k, mus, xi):
-    """Check the pairwise norm conditions for a multi-orbit construction.
-
-    Requires the ambient field to be F_{q^{2k}}; mus and xi are log
-    indices.  Returns (ok, report) where report lists every violated pair.
-    """
-    p, e0 = factor_prime_power(q)
-    if fld.p != p or fld.e != e0 * 2 * k:
-        raise SubspaceError("ambient field must be F_{q^{2k}}")
-    if len(mus) > q - 1:
-        raise SubspaceError("at most q - 1 orbits allowed")
-    qk = q ** k
-    if xi < 0 or xi % fld.subfield_stride(qk) == 0:
-        raise SubspaceError("xi must lie outside F_{q^k}")
-    norm = lambda x: fld.rel_norm(x, qk, q)
-    xi_norm_factor = xi * (qk + 1) % fld.N
-    report = []
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if norm(mus[i]) == norm(mus[j]):
-                report.append({"pair": (i, j), "condition": "equal norms"})
-            if norm(fld.mul(fld.mul(mus[i], mus[j]), xi_norm_factor)) == 0:
-                report.append({"pair": (i, j),
-                               "condition": "norm(mu_i mu_j xi^(q^k+1)) = 1"})
-    return not report, report
-
-
 def check_g_params(q, k):
     """Reject (q, k) outside the domain of G_{2k,s}: a prime power q >= 3
     and k >= 2."""
     if q < 3:
-        raise SubspaceError("construction requires q >= 3")
+        raise SubspaceError("the explicit construction requires q >= 3 "
+                            "(use --code for externally supplied orbits)")
     if k < 2:
         raise SubspaceError("construction requires k >= 2")
     factor_prime_power(q)
@@ -361,36 +335,27 @@ def construct_g(q, k, s):
     first root xi of that quadratic in F_{q^{2k}} (ascending log index), and
     returns the floor((q-1)/2) orbits V_i = {u + u^(q^s) w^i xi : u in
     F_{q^k}}.  All of these are log indices: w is the stride of F_{q^k}.
+
+    The paper's norm conditions hold for these choices, so they are not
+    checked here: the norm to F_q is the index times (q^k-1)/(q-1), so the
+    N(w^i) = i N/(q-1) are distinct for i < q - 1, and xi^(q^k+1) = w makes
+    N(w^i w^j xi^(q^k+1)) = (i+j+1) N/(q-1), never 1 as 1 <= i+j+1 <= q-2.
+    The orbit sweep proves the code's distance either way.
     """
     check_g_params(q, k)
     if s < 1:
         raise SubspaceError(f"construction requires s >= 1, got s={s}")
     if math.gcd(s, k) != 1:
         raise SubspaceError(f"gcd(s, k) must be 1, got s={s}, k={k}")
-    m = 2 * k
-    fld = field_for_prime_power(q, m)
+    fld = field_for_prime_power(q, 2 * k)
     qk, N = q ** k, fld.N
     w = fld.subfield_stride(qk)
-    # primitive w is never a (q-1)-power for q > 2
-    if w * ((qk - 1) // (q - 1)) % N == 0:
-        raise SubspaceError("w is a (q-1)-power")  # cannot happen
-
-    b = next((cand for cand in (-1, *range(0, N, w))
-              if fld.is_irreducible_quadratic(cand, w, qk)), None)
-    if b is None:
-        raise SubspaceError("no b makes x^2 + b x + w irreducible")  # cannot happen
+    b = next(cand for cand in (-1, *range(0, N, w))
+             if fld.is_irreducible_quadratic(cand, w, qk))
     add, mul = fld.add, fld.mul
-    xi = next((t for t in range(N) if add(mul(t, add(t, b)), w) < 0), None)
-    if xi is None:
-        raise SubspaceError("quadratic has no root in F_{q^{2k}}")  # cannot happen
-
-    r = (q - 1) // 2
-    mus = [w * i % N for i in range(r)]
-    if r > 1:
-        ok, report = validate_multi_orbit(fld, q, k, mus, xi)
-        if not ok:
-            raise SubspaceError(f"norm conditions violated: {report}")
-    reps = [construct_w(fld, q, k, s, mu, xi) for mu in mus]
+    xi = next(t for t in range(N) if add(mul(t, add(t, b)), w) < 0)
+    reps = [construct_w(fld, q, k, s, w * i % N, xi)
+            for i in range((q - 1) // 2)]
     return CyclicSubspaceCode(fld, q, tuple(reps))
 
 

@@ -2,8 +2,9 @@
 
 The paper's Sidon, orbit and field-side facts are claims for the tests to
 check, so their checkers live here rather than in the library: is_sidon,
-is_multi_sidon and orbit_size count on the pair loop, and
-check_field_conditions multiplies on the polynomial route.
+is_multi_sidon and orbit_size count on the pair loop,
+check_field_conditions multiplies on the polynomial route, and
+norm_conditions checks the premises of G_{2k,s} in index arithmetic.
 """
 
 import functools
@@ -382,6 +383,40 @@ def field_coset_family(code):
         for a in greedy_coset_representatives(U):
             cosets.append(frozenset(U.field.add(u, a) for u in U.span_idx))
     return CosetFamily(tuple(cosets))
+
+
+def w_and_xi(f, q, k):
+    """construct_g's choices in F_{q^{2k}}, as log indices: the primitive w
+    of F_{q^k} and the first root xi of the first irreducible x^2 + b x + w
+    over F_{q^k}."""
+    qk = q ** k
+    w = f.subfield_stride(qk)
+    b = next(c for c in (-1, *range(0, f.N, w))
+             if f.is_irreducible_quadratic(c, w, qk))
+    add, mul = f.add, f.mul
+    xi = next(t for t in range(f.N)
+              if add(add(mul(t, t), mul(b, t)), w) < 0)
+    return w, xi
+
+
+def norm_conditions(f, q, k, mus, xi):
+    """Oracle for the paper's pairwise norm conditions on the multipliers
+    mus (nonzero, in F_{q^k}) and xi (outside F_{q^k}) in f = F_{q^{2k}}:
+    N(mu_i) != N(mu_j) and N(mu_i mu_j xi^(q^k+1)) != 1, the norm to F_q
+    being the log index times (q^k - 1)/(q - 1).  Returns (ok, report),
+    the report listing every violated pair."""
+    qk, stride = q ** k, f.subfield_stride(q ** k)
+    assert f.order == qk * qk and xi % stride
+    assert all(mu >= 0 and mu % stride == 0 for mu in mus)
+    norm = lambda x: x * ((qk - 1) // (q - 1)) % f.N
+    report = []
+    for i, j in itertools.combinations(range(len(mus)), 2):
+        if norm(mus[i]) == norm(mus[j]):
+            report.append({"pair": (i, j), "condition": "equal norms"})
+        if norm(mus[i] + mus[j] + xi * (qk + 1)) == 0:
+            report.append({"pair": (i, j),
+                           "condition": "norm(mu_i mu_j xi^(q^k+1)) = 1"})
+    return not report, report
 
 
 def canonical_sidon_f64():

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour, file formats, exit codes and determinism."""
 
+import itertools
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -276,9 +278,12 @@ def test_verify_fuzzed_bits_file_exit_code(tmp_path, drawn):
     assert main(["verify", str(path)]) == _expected_exit(header, words, flaw)
 
 
-def test_construct_q2_is_usage_error(capsys):
-    assert main(["construct", "--q", "2", "--k", "2", "--s", "1"]) == 2
-    assert "q >= 3" in capsys.readouterr().err
+def test_construct_q2_is_usage_error(tmp_path, capsys):
+    assert main(["construct", "--q", "2", "--k", "2", "--s", "1",
+                 "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert "q >= 3" in err and "use --code" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_bad_s_is_usage_error(capsys):
@@ -465,7 +470,7 @@ def test_field_info(capsys):
     assert info["subfield_orders"] == [3, 9, 81]
 
 
-@pytest.mark.parametrize("q,k", [(3, 4), (9, 2)])
+@pytest.mark.parametrize("q,k", [(3, 4), (9, 2), (5, 3), (11, 2)])
 def test_change_of_primitive_element_gives_the_same_code(tmp_path, capsys,
                                                         q, k):
     # omega' = omega^u names each element omega^b as omega'^(b u^-1): the
@@ -476,7 +481,7 @@ def test_change_of_primitive_element_gives_the_same_code(tmp_path, capsys,
     before = json.loads(capsys.readouterr().out)
     blob = json.loads((tmp_path / "old.code.json").read_text())
     f = field_from_descriptor(blob["field"])
-    u = 7
+    u = next(u for u in itertools.count(7) if math.gcd(u, f.N) == 1)
     u_inv = pow(u, -1, f.N)
     blob["field"]["omega_index"] = f.pow_code(f.omega_code, u)
     for orbit in blob["orbits"]:

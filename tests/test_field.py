@@ -291,38 +291,6 @@ def test_subfield_invalid_order_rejected():
             f.subfield_stride(order)
 
 
-def test_rel_norm_identity_and_order():
-    f = field_create(3, 4)
-    assert f.rel_norm(0, 9, 3) == 0
-    assert f.rel_norm(-1, 9, 3) == -1
-    wk = f.subfield_stride(9)
-    nu = f.rel_norm(wk, 9, 3)
-    # norm of a generator has multiplicative order q - 1 = 2
-    assert nu != 0
-    assert f.mul(nu, nu) == 0
-
-
-def test_rel_norm_multiplicative_exhaustive():
-    f = field_create(3, 4)
-    units = range(0, f.N, f.subfield_stride(9))
-    for a, b in itertools.product(units, repeat=2):
-        assert f.rel_norm(f.mul(a, b), 9, 3) == f.mul(f.rel_norm(a, 9, 3),
-                                                      f.rel_norm(b, 9, 3))
-
-
-def test_rel_norm_lands_in_subfield():
-    f = field_create(2, 6)
-    for x in range(0, f.N, f.subfield_stride(8)):
-        assert f.rel_norm(x, 8, 2) % f.subfield_stride(2) == 0
-
-
-def test_rel_norm_rejects_outsiders():
-    f = field_create(3, 4)
-    outsider = next(x for x in range(f.N) if x % f.subfield_stride(9))
-    with pytest.raises(FieldError):
-        f.rel_norm(outsider, 9, 3)
-
-
 def test_irreducible_quadratic():
     f = field_create(3, 4)
     # x^2 - 1 has root 1

@@ -13,14 +13,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     build_ooc, code_min_distance, construct_g, construct_w,
-                    coset_representatives, field_create, span,
-                    validate_multi_orbit)
+                    coset_representatives, field_create, span)
 from oocgen import ooc, subspaces
 from oocgen.subspaces import Subspace, _log_exact
 from conftest import (canonical_sidon_f64, code_size, field_coset_family,
                       gaussian_binomial, greedy_coset_representatives,
-                      is_multi_sidon, is_sidon, log_of, orbit_size,
-                      neg, rank_dim_intersection, scaled, sub)
+                      is_multi_sidon, is_sidon, log_of, norm_conditions,
+                      orbit_size, neg, rank_dim_intersection, scaled, sub,
+                      w_and_xi)
 
 
 F81 = field_create(3, 4)
@@ -306,9 +306,9 @@ def test_bad_norm_pair_lowers_distance():
     # mus with equal relative norms violate Theorem-style conditions and the
     # two-orbit code collapses below distance 2k - 2
     f = field_create(5, 4)
-    w, xi = _w_and_xi(f)
+    w, xi = w_and_xi(f, 5, 2)
     mus = [0, 4 * w]  # norm(w)^4 = norm(w^4) since norm(w) has order 4
-    ok, report = validate_multi_orbit(f, 5, 2, mus, xi)
+    ok, report = norm_conditions(f, 5, 2, mus, xi)
     assert not ok
     assert report[0]["condition"] == "equal norms"
     U1 = construct_w(f, 5, 2, 1, mus[0], xi)
@@ -322,18 +322,6 @@ def test_bad_norm_pair_lowers_distance():
 # ---------------------------------------------------------------------------
 # explicit constructions
 # ---------------------------------------------------------------------------
-
-def _w_and_xi(f):
-    """The primitive w of F_25 in F_625 and the first root xi of the first
-    irreducible x^2 + b x + w, as log indices."""
-    w = f.subfield_stride(25)
-    b = next(c for c in (-1, *range(0, f.N, w))
-             if f.is_irreducible_quadratic(c, w, 25))
-    add, mul = f.add, f.mul
-    xi = next(t for t in range(f.N)
-              if add(add(mul(t, t), mul(b, t)), w) < 0)
-    return w, xi
-
 
 def _xi_outside_f9(*skip):
     """The first log index outside F_9 and not in skip."""
@@ -388,25 +376,30 @@ def test_construct_w_valid_is_sidon():
     pytest.fail("no Sidon space produced")
 
 
-def test_validate_multi_orbit_r1_vacuous():
-    ok, report = validate_multi_orbit(F81, 3, 2, [0], _xi_outside_f9())
-    assert ok and report == []
-    for xi in (F9_STRIDE, -1):  # xi must lie outside F_{q^k}
-        with pytest.raises(SubspaceError, match="outside"):
-            validate_multi_orbit(F81, 3, 2, [0], xi)
-
-
-def test_validate_multi_orbit_valid_pair():
+def test_norm_conditions_valid_pair():
     f = field_create(5, 4)
-    w, xi = _w_and_xi(f)
-    ok, report = validate_multi_orbit(f, 5, 2, [0, w], xi)
+    w, xi = w_and_xi(f, 5, 2)
+    ok, report = norm_conditions(f, 5, 2, [0, w], xi)
     assert ok, report
 
 
-def test_validate_multi_orbit_wrong_extension_rejected():
-    f = field_create(3, 4)
-    with pytest.raises(SubspaceError):
-        validate_multi_orbit(f, 3, 3, [0], 1)
+@pytest.mark.parametrize("q,k", [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2),
+                                 (9, 2), (3, 3), (4, 3), (5, 3), (3, 4)])
+def test_construct_g_meets_the_theorem(q, k):
+    # the conclusion the norm conditions guarantee: floor((q-1)/2)
+    # full-length orbits at distance 2k - 2, built from w^i and xi that
+    # satisfy them
+    code = construct_g(q, k, 1)
+    f, r = code.field, (q - 1) // 2
+    assert len(code.representatives) == r
+    assert code.min_distance == 2 * k - 2
+    assert code.stabiliser_orders == (q - 1,) * r
+    w, xi = w_and_xi(f, q, k)
+    mus = [w * i % f.N for i in range(r)]
+    assert [U.span_idx for U in code.representatives] == [
+        construct_w(f, q, k, 1, mu, xi).span_idx for mu in mus]
+    ok, report = norm_conditions(f, q, k, mus, xi)
+    assert ok, report
 
 
 def test_construct_g_q3(pipeline_q3):
