@@ -20,9 +20,8 @@ Polynomial arithmetic on the coefficient ("code") representation,
 sum(c_i x^i) mod modulus encoded as the integer sum(c_i p^i), is used only
 to precompute those products and to test primitivity.
 
-Primality is a deterministic Miller-Rabin, exact below 3.3e24; a prime
-power splits by exact integer roots.  Trial division factors only
-N = p^e - 1, below MAX_ORDER.
+Every integer factored (q, p, N = p^e - 1 and subfield orders) is at
+most MAX_ORDER, so trial division is the one factoring and primality test.
 
 All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
@@ -31,7 +30,6 @@ same (p, e, modulus) are bit-identical.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 
 
@@ -44,60 +42,11 @@ class FieldError(ValueError):
 # entry fits a 4-byte signed int.
 MAX_ORDER = 2 ** 26
 
-# Miller-Rabin with the thirteen prime bases up to 41 decides primality
-# exactly for every n below this bound, psi_13 (Sorenson and Webster,
-# 2015); the twelve bases up to 37 are exact only below psi_12 ~ 3.2e23.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin; FieldError from _MR_LIMIT on, where the
-    bases are no longer known to be exact."""
-    if n < 2:
-        return False
-    if n >= _MR_LIMIT:
-        raise FieldError(f"{n} is too large to test for primality (the "
-                         f"limit is {_MR_LIMIT})")
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(n, k):
-    """floor(n^(1/k)) for n >= 1: Newton's iteration from above, started
-    within a factor 1 + 1e-9 of the root by floating point where that fits
-    a float, else from the power of two above it."""
-    lg = math.log2(n) / k
-    x = (int(2 ** lg * (1 + 1e-9)) + 1 if lg < 1000
-         else 1 << -(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def _prime_factors(n):
     """Prime factorisation {prime: exponent} of n by trial division.
 
-    Empty for n < 2.  It factors only integers no larger than MAX_ORDER,
-    N = p^e - 1 and subfield orders, so trial division stops below
+    Empty for n < 2.  It factors only integers no larger than MAX_ORDER:
+    q, p, N = p^e - 1 and subfield orders, so trial division stops below
     sqrt(MAX_ORDER).
     """
     factors = {}
@@ -176,11 +125,13 @@ class ExtensionField:
     """F_{p^e} with the Zech table of a canonical primitive element."""
 
     def __init__(self, p, e, modulus=None, omega_code=None):
-        if type(p) is not int or not _is_prime(p):
+        if type(p) is not int or p < 2:
             raise FieldError(f"p = {p} is not prime")
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
         _check_order(p, e)
+        if _prime_factors(p) != {p: 1}:
+            raise FieldError(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.order = p ** e
@@ -396,23 +347,15 @@ def field_from_descriptor(desc):
 
 
 def factor_prime_power(q):
-    """Split a prime power q into (p, e0) with q = p^e0.
-
-    Each exact k-th root taken, k = 2, 3, 5, ... prime, moves a factor k
-    of the exponent from the base to e0; the base left must be prime.
-    """
+    """Split a prime power q into (p, e0) with q = p^e0; q above MAX_ORDER
+    is refused, as F_q would be."""
     if type(q) is not int or q < 2:
         raise FieldError(f"{q} is not a prime power")
-    p, e0, k = q, 1, 2
-    while k <= p.bit_length():
-        r = _iroot(p, k)
-        if r ** k == p:
-            p, e0 = r, e0 * k
-        else:
-            k = next(j for j in itertools.count(k + 1) if _is_prime(j))
-    if not _is_prime(p):
+    _check_order(q, 1)
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise FieldError(f"{q} is not a prime power")
-    return p, e0
+    return next(iter(factors.items()))
 
 
 def field_for_prime_power(q, m):

@@ -166,6 +166,12 @@ def verify_oos(sets, lam):
 # bounds
 # ---------------------------------------------------------------------------
 
+# J's running value never decreases (each factor (n-i)/(w-i) >= 1), so it is
+# refused once it reaches 2^_JOHNSON_BITS, 3914 digits: every bound returned
+# prints within Python's 4300-digit limit on int-to-str conversion.
+_JOHNSON_BITS = 13000
+
+
 def johnson_bound(n, w, lam):
     """J(n, w, lam): the nested-floor Johnson bound, exact integers."""
     if w < 1:
@@ -178,7 +184,12 @@ def johnson_bound(n, w, lam):
         raise OocError(f"w must be <= n, got w={w}, n={n}")
     t = (n - lam) // (w - lam)
     for i in range(lam - 1, 0, -1):
+        if t.bit_length() > _JOHNSON_BITS:
+            break
         t = (n - i) * t // (w - i)
+    if t.bit_length() > _JOHNSON_BITS:
+        raise OocError(f"J({n},{w},{lam}) is too large: it reaches "
+                       f"2^{_JOHNSON_BITS}, the budget of 3914 digits")
     return t // w
 
 

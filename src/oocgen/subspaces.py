@@ -321,7 +321,8 @@ def check_g_params(q, k):
     and k >= 2."""
     if q < 3:
         raise SubspaceError("the explicit construction requires q >= 3 "
-                            "(use --code for externally supplied orbits)")
+                            "(use --code with `oocgen construct` for "
+                            "externally supplied orbits)")
     if k < 2:
         raise SubspaceError("construction requires k >= 2")
     factor_prime_power(q)

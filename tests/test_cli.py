@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, file formats, exit codes and determinism."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -407,6 +408,21 @@ def test_construct_code_file_short_orbit_is_data_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("p,e,message", [(4, 6, "p = 4 is not prime"),
+                                         (1, 100, "p = 1 is not prime"),
+                                         (2 ** 61 - 1, 1, "is too large")])
+def test_construct_code_file_bad_field_order_is_data_error(tmp_path, capsys,
+                                                          p, e, message):
+    code = _sidon_code_dict()
+    code["field"]["p"], code["field"]["e"] = p, e
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["construct", "--code", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_construct_code_file_index_out_of_range_is_data_error(tmp_path):
     code = _sidon_code_dict()
     code["orbits"][0]["basis"][0] = 999  # F_64 has log indices -1..62
@@ -422,6 +438,11 @@ def test_bound_command(capsys):
     assert capsys.readouterr().out.strip() == "11"
     assert main(["bound", "8", "4", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # a 607-digit bound, well inside the digit budget
+    assert main(["bound", "1000000", "1000", "200"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 608 and hashlib.sha256(out.encode()).hexdigest() == (
+        "dadffa279ee827003c3a6201c55275c0260a1f8fd3f6b265a4b0e6ff32a41a9b")
 
 
 def test_bound_with_size(capsys):
@@ -430,6 +451,15 @@ def test_bound_with_size(capsys):
     assert main(["bound", "10", "3", "1", "--size", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "size must be >= 0" in captured.err
+
+
+def test_bound_past_the_digit_budget_is_data_error(capsys):
+    # each step multiplies the running value by about 10^6, so it passes
+    # the budget long before lambda = 10^5 steps
+    assert main(["bound", "1000000000000", "1000000", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "J(1000000000000,1000000,100000) is too large" in captured.err
 
 
 def test_bound_rejects_lam_ge_w(capsys):
@@ -446,6 +476,10 @@ def test_table_command(capsys):
     for spec in ["2,2", "3,1", "6,2"]:  # outside construct_g's domain
         assert main(["table", "3,2", spec]) == 2
         assert capsys.readouterr().out == ""
+    assert main(["table", "2,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q >= 3" in captured.err and "oocgen construct" in captured.err
     for spec in ["3", "3,", "x,2", "3,2,1"]:  # not of the form q,k
         assert main(["table", "3,2", spec]) == 2
         captured = capsys.readouterr()

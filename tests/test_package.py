@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import oocgen
 from test_golden import ARTEFACTS, GOLDEN
 
@@ -62,8 +64,8 @@ def test_cli_under_python_O_writes_golden_files(tmp_path):
 
 
 def test_field_info_refuses_a_huge_prime_field_at_once():
-    # q = 2^61 - 1 is prime: Miller-Rabin decides that, and the order
-    # limit refuses the field before any table or modulus search
+    # q = 2^61 - 1 is prime, but the order limit refuses it before any
+    # factoring, table or modulus search
     run = subprocess.run(
         [sys.executable, "-c", "from oocgen.cli import run; run()",
          "field-info", "--q", str(2 ** 61 - 1), "--m", "1"],
@@ -71,6 +73,19 @@ def test_field_info_refuses_a_huge_prime_field_at_once():
     assert run.returncode == 2
     assert run.stdout == ""
     assert "is too large" in run.stderr and "bytes" in run.stderr
+
+
+@pytest.mark.parametrize("spec", ["1009,2", "1000003,2"])
+def test_table_refuses_a_huge_johnson_bound_at_once(spec):
+    # J has thousands of digits at lambda = 1009 and would take minutes to
+    # reach at lambda = 1000003; both are refused before the header prints
+    run = subprocess.run(
+        [sys.executable, "-c", "from oocgen.cli import run; run()",
+         "table", spec], env=_env(), capture_output=True, text=True,
+        timeout=10)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "is too large" in run.stderr and "digits" in run.stderr
 
 
 def test_no_assert_statements_in_package():

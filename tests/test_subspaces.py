@@ -245,11 +245,6 @@ def test_code_min_distance_vs_full_pair_sweep():
     assert code_min_distance(code) == oracle == 4
 
 
-def test_min_distance_of_g_codes(pipeline_q3, pipeline_q5):
-    assert pipeline_q3[0].min_distance == 2
-    assert pipeline_q5[0].min_distance == 2
-
-
 def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
                                                        pipeline_q3,
                                                        pipeline_q5):
@@ -414,12 +409,6 @@ def test_construct_g_q5(pipeline_q5):
     assert len(code.representatives) == 2
     assert code_size(code) == 2 * 624 // 4
     assert code.orbits_disjoint()
-
-
-def test_construct_g_q4_single_orbit():
-    code = construct_g(4, 2, 1)
-    assert len(code.representatives) == 1  # floor(3/2) = 1
-    assert code.min_distance == 2
 
 
 def test_construct_g_rejects_q2():
