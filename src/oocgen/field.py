@@ -293,18 +293,6 @@ class ExtensionField:
                 f"order {order} is not a subfield order of F_{p}^{e}")
         return self.N // (order - 1)
 
-    def is_irreducible_quadratic(self, b, c, sub_order):
-        """True iff x^2 + b*x + c has no root in the subfield of that order.
-
-        Decided by exhaustive root search; b and c must lie in the subfield.
-        """
-        stride = self.subfield_stride(sub_order)
-        if b >= 0 and b % stride or c >= 0 and c % stride:
-            raise FieldError("quadratic coefficients must lie in the subfield")
-        add, mul = self.add, self.mul
-        return all(add(mul(t, add(t, b)), c) >= 0
-                   for t in (-1, *range(0, self.N, stride)))
-
     # -- serialization
 
     def descriptor(self):

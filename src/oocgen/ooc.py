@@ -120,9 +120,9 @@ def verify_oos(sets, lam):
     carries the exact maxima and the first witness of each: the lowest word,
     or the lowest word pair (i, j) in lexicographic order, that reaches the
     maximum, then its smallest tau.  One pass of _column_counts gives every
-    count; for column j, one scan over the blocks below j gives its largest
-    cross-correlation and, from the lowest bit holding it, the lowest i and
-    then the smallest tau.
+    count; for column j, _peak over block j's bits 1..n-1 and over the
+    blocks below j gives its largest auto- and cross-correlation, and the
+    lowest bit holding each its smallest tau (for the cross, first i).
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
@@ -145,13 +145,14 @@ def verify_oos(sets, lam):
     max_cross, cross_wit = 0, None
     for j, planes in enumerate(_column_counts([X.members for X in sets], n)):
         offset = stride * j
-        v, tau = _peak([P >> offset for P in planes], low - 1)
+        v, bits = _peak(planes, (low - 1) << offset)
         if v > max_auto or auto_wit is None:
+            tau = (bits & -bits).bit_length() - 1 - offset if bits else None
             max_auto, auto_wit = v, {"kind": "auto", "word": j, "tau": tau,
                                      "value": v}
         if j:
-            v, pos = _peak(planes, below)
-            i, tau = divmod(pos, stride)
+            v, bits = _peak(planes, below)
+            i, tau = divmod((bits & -bits).bit_length() - 1, stride)
             if (cross_wit is None or v > max_cross
                     or v == max_cross and i < cross_wit["words"][0]):
                 max_cross, cross_wit = v, {"kind": "cross", "words": [i, j],
@@ -170,6 +171,9 @@ def verify_oos(sets, lam):
 # refused once it reaches 2^_JOHNSON_BITS, 3914 digits: every bound returned
 # prints within Python's 4300-digit limit on int-to-str conversion.
 _JOHNSON_BITS = 13000
+# J takes lambda steps.  With n >= 2w each factor is >= 2, so the budget ends
+# them within _JOHNSON_BITS; with n < 2w, lambda > _JOHNSON_STEPS is refused.
+_JOHNSON_STEPS = 1 << 20
 
 
 def johnson_bound(n, w, lam):
@@ -182,6 +186,9 @@ def johnson_bound(n, w, lam):
         raise OocError(f"lambda must be < w, got lambda={lam}, w={w}")
     if w > n:
         raise OocError(f"w must be <= n, got w={w}, n={n}")
+    if n < 2 * w and lam > _JOHNSON_STEPS:
+        raise OocError(f"J({n},{w},{lam}) takes lambda = {lam} steps, above "
+                       f"the limit of 2^20 = {_JOHNSON_STEPS} when n < 2w")
     t = (n - lam) // (w - lam)
     for i in range(lam - 1, 0, -1):
         if t.bit_length() > _JOHNSON_BITS:

@@ -10,10 +10,9 @@ count on the nonzero indices answers it for every a at once:
 One kernel makes every such count in the package: _column_counts adds the
 shifts of stacked indicators into bit-sliced counter planes, for sparse and
 dense sets alike, four rows at a time through a carry-save (Harley–Seal)
-adder in front of a ripple carry.  The sweep then reads the planes
-through masks: _equal gives the positions whose count is a given value,
-and _peak the largest count in a mask with the lowest position that holds
-it.  On an orbit's own column, the positions whose count is the whole
+adder in front of a ripple carry.  One reader, _peak, reads the planes
+through a mask: the largest count in it and every position that holds it.
+On an orbit's own column, the positions whose count is the whole
 subspace are its stabiliser, so the same pass also tells a short orbit.
 ooc.verify_oos runs the same kernel over the OOC words.
 """
@@ -101,24 +100,15 @@ def _ripple(planes, k, carry):
 
 
 def _peak(planes, mask):
-    """The largest count at a bit of mask and the lowest bit that holds it
-    (None if mask is 0), by a top-down scan of the planes."""
-    cand, value = mask, 0
+    """The largest count at a bit of mask and every bit of mask that holds
+    it, (0, 0) if mask is 0: a top-down scan of the planes keeps the
+    candidates that a plane meets and adds that plane's weight."""
+    value = 0
     for k in range(len(planes) - 1, -1, -1):
-        hit = cand & planes[k]
+        hit = mask & planes[k]
         if hit:
-            cand, value = hit, value | 1 << k
-    return value, (cand & -cand).bit_length() - 1 if cand else None
-
-
-def _equal(planes, v, mask):
-    """The bits of mask whose count is v: one AND per plane, with the plane
-    where bit k of v is 1 and its complement where it is 0."""
-    if v >> len(planes):
-        return 0
-    for k, P in enumerate(planes):
-        mask &= P if v >> k & 1 else ~P
-    return mask
+            mask, value = hit, value | 1 << k
+    return value, mask
 
 
 def _nonzero(U):
@@ -261,37 +251,29 @@ def _orbit_sweep(code):
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
     sweep of alpha against fixed representatives is exact.  One pass of
     _column_counts gives c[a] = |U_i ∩ omega^a U_j| - 1 for every orbit
-    pair i <= j; on the diagonal, the a with c[a] = |U_i| - 1 give
-    omega^a U_i = U_i, the same codeword: they are U_i's stabiliser, and
-    are left out of the distance.  Every count left must be q^e - 1 for
-    some e, the size of a subspace less zero.
+    pair i <= j.  On the diagonal a = 0 holds the largest count, |U_j| - 1,
+    so the peak's bits are U_j's stabiliser, left out of the distance.  The
+    rest is walked peak by peak from the top: each count must be q^e - 1
+    for some e, the size of a subspace less zero.
     """
     reps = code.representatives
     q, N, k = code.ground_q, code.field.N, code.dim
     low, stride = (1 << N) - 1, 2 * N
-    below, best, orders = 0, None, []
+    below, most, orders = 0, -1, []  # most: max dim(U_i ∩ omega^a U_j)
     for j, planes in enumerate(_column_counts(map(_nonzero, reps), N)):
         diag = low << stride * j
-        # the stabiliser of U_j: the a with |S_j ∩ omega^a S_j| = |S_j|
-        stab = _equal(planes, q ** k - 1, diag)
+        _, stab = _peak(planes, diag)
         orders.append(stab.bit_count())
-        region = below | diag & ~stab
-        bad = region
-        for e in range(k + 1):
-            bad &= ~_equal(planes, q ** e - 1, bad)
-        if bad:  # a span not closed under addition
-            # the peak of the complemented planes is the least bad count
-            v = (1 << len(planes)) - 1 - _peak([~P for P in planes], bad)[0]
-            raise SubspaceError(f"set of size {1 + v} is not "
-                                f"F_{q}-subspace sized")
-        if region:
-            v, _ = _peak(planes, region)
-            best = v if best is None else max(best, v)
+        region = below | diag ^ stab  # stab lies in diag
+        while region:
+            v, bits = _peak(planes, region)
+            most = max(most, _log_exact(1 + v, q))
+            region ^= bits  # bits lie in region
         below |= diag
-    if best is None:  # one orbit of size 1: no pair of distinct codewords
+    if most < 0:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
                             "is undefined")
-    return 2 * k - 2 * _log_exact(1 + best, q), tuple(orders)
+    return 2 * k - 2 * most, tuple(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +313,11 @@ def check_g_params(q, k):
 def construct_g(q, k, s):
     """The explicit multi-orbit code G_{2k,s} over F_{q^{2k}}.
 
-    Picks the canonical primitive w of F_{q^k}, the first b (zero, then
-    ascending log index) making x^2 + b x + w irreducible over F_{q^k}, the
-    first root xi of that quadratic in F_{q^{2k}} (ascending log index), and
-    returns the floor((q-1)/2) orbits V_i = {u + u^(q^s) w^i xi : u in
-    F_{q^k}}.  All of these are log indices: w is the stride of F_{q^k}.
+    Picks the canonical primitive w of F_{q^k}, the first b in F_{q^k}
+    (zero, then ascending log index) with no root t of t(t + b) + w in
+    F_{q^k}, so x^2 + b x + w is irreducible, the first root xi of it in
+    F_{q^{2k}} (ascending log index), and returns the floor((q-1)/2) orbits
+    V_i = {u + u^(q^s) w^i xi : u in F_{q^k}}, all as log indices.
 
     The paper's norm conditions hold for these choices, so they are not
     checked here: the norm to F_q is the index times (q^k-1)/(q-1), so the
@@ -349,12 +331,15 @@ def construct_g(q, k, s):
     if math.gcd(s, k) != 1:
         raise SubspaceError(f"gcd(s, k) must be 1, got s={s}, k={k}")
     fld = field_for_prime_power(q, 2 * k)
-    qk, N = q ** k, fld.N
-    w = fld.subfield_stride(qk)
-    b = next(cand for cand in (-1, *range(0, N, w))
-             if fld.is_irreducible_quadratic(cand, w, qk))
+    N, w = fld.N, fld.subfield_stride(q ** k)
     add, mul = fld.add, fld.mul
-    xi = next(t for t in range(N) if add(mul(t, add(t, b)), w) < 0)
+
+    def root(t, b):  # t(t + b) + w = 0: t is a root of x^2 + b x + w
+        return add(mul(t, add(t, b)), w) < 0
+
+    sub = (-1, *range(0, N, w))  # F_{q^k}: zero and the powers of w
+    b = next(b for b in sub if not any(root(t, b) for t in sub))
+    xi = next(t for t in range(N) if root(t, b))
     reps = [construct_w(fld, q, k, s, w * i % N, xi)
             for i in range((q - 1) // 2)]
     return CyclicSubspaceCode(fld, q, tuple(reps))

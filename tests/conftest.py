@@ -387,16 +387,15 @@ def field_coset_family(code):
 
 def w_and_xi(f, q, k):
     """construct_g's choices in F_{q^{2k}}, as log indices: the primitive w
-    of F_{q^k} and the first root xi of the first irreducible x^2 + b x + w
-    over F_{q^k}."""
-    qk = q ** k
-    w = f.subfield_stride(qk)
-    b = next(c for c in (-1, *range(0, f.N, w))
-             if f.is_irreducible_quadratic(c, w, qk))
+    of F_{q^k} and the first root xi of the first x^2 + b x + w with no
+    root in F_{q^k}, each root found as t^2 + b t + w = 0."""
+    w = f.subfield_stride(q ** k)
     add, mul = f.add, f.mul
-    xi = next(t for t in range(f.N)
-              if add(add(mul(t, t), mul(b, t)), w) < 0)
-    return w, xi
+    roots = lambda b, ts: [t for t in ts
+                           if add(add(mul(t, t), mul(b, t)), w) < 0]
+    sub = [-1, *range(0, f.N, w)]
+    b = next(c for c in sub if not roots(c, sub))
+    return w, roots(b, range(f.N))[0]
 
 
 def norm_conditions(f, q, k, mus, xi):

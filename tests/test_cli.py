@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oocgen import cli
+from oocgen import cli, ooc
 from oocgen.cli import main
 from conftest import bit_level_ooc_ok, canonical_sidon_f64, poly_exp_table
 from oocgen import (CyclicSubspaceCode, code_from_dict, construct_g,
@@ -158,6 +158,24 @@ def test_verify_oos_modulus_too_large_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: modulus n = "
                                        "100000000000000000000 is too large "
                                        "to verify\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.oos.json", '{"n": 7, "sets": []}', "empty family"),
+    ("weights.oos.json", '{"n": 7, "sets": [[0, 1], [2]]}',
+     "sets 0 and 1 have different weights (2 vs 1)"),
+    ("mixed.ooc", "# lambda=1\n11000\n110000\n",
+     "codewords have mixed lengths"),
+])
+def test_verify_family_refusal_is_data_error(tmp_path, capsys, name, text,
+                                             message):
+    # the whole of stderr is the one-line message: no traceback
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_duplicate_words_fail_at_tau_zero(tmp_path, capsys):
@@ -443,6 +461,13 @@ def test_bound_command(capsys):
     out = capsys.readouterr().out
     assert len(out) == 608 and hashlib.sha256(out.encode()).hexdigest() == (
         "dadffa279ee827003c3a6201c55275c0260a1f8fd3f6b265a4b0e6ff32a41a9b")
+    # n < 2w: an 82-digit bound, and one of lambda = 999998 small steps
+    assert main(["bound", "1000", "600", "300"]) == 0
+    assert capsys.readouterr().out == (
+        "63043902904811667649346277681544195240056359755686286938152371"
+        "94173791996528283639\n")
+    assert main(["bound", "1000000", "999999", "999998"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_bound_with_size(capsys):
@@ -460,6 +485,20 @@ def test_bound_past_the_digit_budget_is_data_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "J(1000000000000,1000000,100000) is too large" in captured.err
+
+
+def test_bound_with_n_below_2w_refuses_lambda_past_the_step_limit(capsys):
+    # n < 2w keeps the running value small, so only lambda bounds the loop
+    limit = ooc._JOHNSON_STEPS
+    n, w = limit + 3, limit + 2
+    assert main(["bound", str(n), str(w), str(limit)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["bound", str(n), str(w), str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: J({n},{w},{limit + 1}) takes lambda = "
+                            f"{limit + 1} steps, above the limit of 2^20 = "
+                            f"{limit} when n < 2w\n")
 
 
 def test_bound_rejects_lam_ge_w(capsys):

@@ -278,25 +278,6 @@ def test_subfield_invalid_order_rejected():
             f.subfield_stride(order)
 
 
-def test_irreducible_quadratic():
-    f = field_create(3, 4)
-    # x^2 - 1 has root 1
-    assert not f.is_irreducible_quadratic(-1, neg(f, 0), 9)
-    f2 = field_create(2, 6)
-    # x^2 + x + 1 over F_2
-    assert f2.is_irreducible_quadratic(0, 0, 2)
-
-
-def test_irreducible_quadratic_matches_root_count():
-    f = field_create(3, 4)
-    elems = [-1, *range(0, f.N, f.subfield_stride(9))]
-    add, mul = f.add, f.mul
-    for b, c in itertools.product(elems, repeat=2):
-        roots = sum(1 for t in elems
-                    if add(add(mul(t, t), mul(b, t)), c) < 0)
-        assert f.is_irreducible_quadratic(b, c, 9) == (roots == 0)
-
-
 def test_gaussian_binomial_basics():
     assert gaussian_binomial(7, 0, 2) == 1
     assert gaussian_binomial(2, 1, 3) == 4

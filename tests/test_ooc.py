@@ -12,7 +12,7 @@ from oocgen import (IndexSet, OocCode, OocError, build_ooc, construct_g,
                     params_table, s_of_w, verify_oos)
 from oocgen import field, ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _column_counts, _equal, _peak
+from oocgen.subspaces import _column_counts, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
                       shift)
@@ -133,16 +133,22 @@ def test_shift_matches_field_scaling():
 
 # The correlation maxima are read off the kernel's planes directly:
 # |X ∩ (X + tau)| for 0 < tau < n from the column of [X], and
-# |X ∩ (Y + tau)| for 0 <= tau < n from block 0 of the column [X, Y].
+# |X ∩ (Y + tau)| for 0 <= tau < n from block 0 of the column [X, Y],
+# each with the lowest tau that reaches it (None for an empty mask).
+
+def _lowest_peak(planes, mask):
+    v, bits = _peak(planes, mask)
+    return v, (bits & -bits).bit_length() - 1 if bits else None
+
 
 def _auto_peak(X):
     planes, = _column_counts([X.members], X.n)
-    return _peak(planes, (1 << X.n) - 2)
+    return _lowest_peak(planes, (1 << X.n) - 2)
 
 
 def _cross_peak(X, Y):
     _, planes = _column_counts([X.members, Y.members], X.n)
-    return _peak(planes, (1 << X.n) - 1)
+    return _lowest_peak(planes, (1 << X.n) - 1)
 
 
 def test_autocorr_singleton():
@@ -244,19 +250,15 @@ def _masked_pair(draw):
 
 
 @given(_masked_pair())
-def test_equal_and_peak_match_pair_loop(case):
+def test_peak_matches_pair_loop(case):
     X, Y, n, mask = case
     c = pair_difference_counts(X, Y, n)
     _, planes = _column_counts([X, Y], n)
     assert len(planes) == len(Y).bit_length()  # [] for an empty Y
-    # d planes hold counts up to 2^d - 1; v = 2^d and 2^d + 1 match no bit
-    for v in range((1 << len(planes)) + 2):
-        assert _equal(planes, v, mask) == sum(
-            1 << t for t in range(n) if mask >> t & 1 and c[t] == v)
     masked = [t for t in range(n) if mask >> t & 1]
     best = max((c[t] for t in masked), default=0)
     assert _peak(planes, mask) == (
-        best, next((t for t in masked if c[t] == best), None))
+        best, sum(1 << t for t in masked if c[t] == best))
 
 
 def _range_counts(m, n):
@@ -454,6 +456,12 @@ def test_verify_oos_witness_is_lowest_pair_then_smallest_tau():
     sets = [IndexSet(7, frozenset(m)) for m in ({0}, {5}, {0})]
     cross = verify_oos(sets, 1).witnesses[1]
     assert cross == {"kind": "cross", "words": [0, 1], "tau": 2, "value": 1}
+
+
+def test_verify_oos_refuses_mixed_moduli():
+    sets = [IndexSet(5, frozenset({0, 1})), IndexSet(6, frozenset({0, 2}))]
+    with pytest.raises(OocError, match=r"^set 1 has modulus 6, expected 5$"):
+        verify_oos(sets, 1)
 
 
 def test_verify_oos_counts_without_difference_counts():

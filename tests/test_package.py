@@ -88,6 +88,18 @@ def test_table_refuses_a_huge_johnson_bound_at_once(spec):
     assert "is too large" in run.stderr and "digits" in run.stderr
 
 
+def test_bound_with_n_below_2w_refuses_a_huge_lambda_at_once():
+    # with n < 2w the running value stays small, so the digit budget never
+    # ends the loop: lambda = 999999998 steps are refused before they start
+    run = subprocess.run(
+        [sys.executable, "-c", "from oocgen.cli import run; run()",
+         "bound", "1000000000", "999999999", "999999998"], env=_env(),
+        capture_output=True, text=True, timeout=10)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "lambda = 999999998 steps" in run.stderr
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert, so no result guard may be one
     found = []

@@ -290,10 +290,11 @@ def test_min_distance_single_subspace_rejected():
     U = span(F81, range(80), 3)
     with pytest.raises(SubspaceError, match="undefined"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (U,)))
-    # nine log indices, but not closed under addition: the count 1 at
-    # alpha = omega^7 makes |V ∩ alpha V| = 2, no power of 3
+    # nine log indices, but not closed under addition: the largest count
+    # off the stabiliser, 7 at alpha = omega, makes |V ∩ alpha V| = 8, no
+    # power of 3
     V = Subspace(F81, 3, [0, 1], [-1, *range(8)])
-    with pytest.raises(SubspaceError, match="set of size 2 is not F_3"):
+    with pytest.raises(SubspaceError, match="set of size 8 is not F_3"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (V,)))
 
 
