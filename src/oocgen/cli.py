@@ -8,7 +8,6 @@ temporary names first, so they appear all or none.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -146,6 +145,7 @@ def _cmd_field_info(args):
 
 
 def build_parser():
+    import argparse  # with gettext, a few ms at import, so only here
     parser = argparse.ArgumentParser(
         prog="oocgen",
         description="Construct and verify optical orthogonal codes from "

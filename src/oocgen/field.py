@@ -14,11 +14,12 @@ per element.  Orders above MAX_ORDER are refused before anything is built.
 
 The log table is built one table-driven omega-step per element:
 multiplying by omega is F_p-linear, so the code of omega*c is the sum of
-two precomputed products, one for each half of c's digits, summed without
+two precomputed entries, one for each half of c's digits, summed without
 carries and mapped back to digits by lookup (ExtensionField._log_table).
 Polynomial arithmetic on the coefficient ("code") representation,
 sum(c_i x^i) mod modulus encoded as the integer sum(c_i p^i), is used only
-to precompute those products and to test primitivity.
+for the e products omega*x^j the entries are built from, and to test
+primitivity (with a resultant for the norm to F_p).
 
 Every integer factored (q, p, N = p^e - 1 and subfield orders) is at
 most MAX_ORDER, so trial division is the one factoring and primality test.
@@ -75,6 +76,31 @@ def _poly_mod(a, b, p):
             for j in range(d):
                 r[i - d + j] = (r[i - d + j] - c * b[j]) % p
     return r[:d]
+
+
+def _resultant(f, g, p):
+    """Res(f, g) over F_p for a monic f, by the Euclidean algorithm.
+
+    Res(f, g) = prod g(alpha) over the roots alpha of f.  Each round makes
+    g monic, Res(f, b g) = b^deg(f) Res(f, g), swaps, Res(f, g) =
+    (-1)^(deg f deg g) Res(g, f), and reduces, Res(g, f) = Res(g, f mod g).
+    """
+    res = 1
+    g = list(g)
+    while True:
+        while g and not g[-1]:
+            g.pop()
+        if not g:
+            return 0
+        m, n, b = len(f) - 1, len(g) - 1, g[-1]
+        res = res * pow(b, m, p) % p
+        if n == 0:
+            return res
+        inv = pow(b, -1, p)
+        g = [c * inv % p for c in g]
+        if m * n % 2:
+            res = -res % p
+        f, g = g, _poly_mod(f, g, p)
 
 
 def find_irreducible_factor(f, p):
@@ -165,41 +191,58 @@ class ExtensionField:
         # p: it takes each code c = j (mod p) to the next code, cyclically,
         # of its block of p consecutive codes.  So zech[log[c]] = log[c + 1]
         # pairs the strided views log[j::p] and log[(j + 1) % p::p], with no
-        # copy; log[0] = -1 is zero, which has no entry.
+        # copy.  Code 0 is zero, the only -1 in log and with no entry, so
+        # the j = 0 views start at code p.
         self.zech = array("i", [0]) * max(self.N, 1)
         with memoryview(self.zech) as zech_w, memoryview(log) as log_r:
             for j in range(p):
-                for i, z in zip(log_r[j::p], log_r[(j + 1) % p::p]):
-                    if i >= 0:
-                        zech_w[i] = z
+                c = j or p  # the first code of the view with an entry
+                succ = c + 1 if j < p - 1 else c + 1 - p
+                for i, z in zip(log_r[c::p], log_r[succ::p]):
+                    zech_w[i] = z
 
     def _log_table(self):
         """The log table (4-byte array, -1 at code 0), one table-driven
         omega-step per element.
 
         Multiplication by omega is F_p-linear.  Split a code as lo + hi*P
-        with P = p^h, h = ceil(e/2); then omega*c = omega*lo + omega*(hi*x^h),
-        and both products are precomputed with mul_codes for every lo and hi.
-        They are stored spread: digit j sits in a slot of base B = 2p - 1,
-        so their sum never carries, and each half of the sum maps back to
-        p-ary digits (every slot mod p) by one lookup in r.  The step tables
-        hold 2p^h + p^(e-h) + B^h entries, O(order) for every (p, e).
+        with P = p^h, h = ceil(e/2); then omega*c = omega*lo + omega*(hi*x^h).
+        Codes are stored spread: digit j of an h-digit half sits in a slot
+        of base B = 2p - 1, so the sum of two reduced halves never carries,
+        and r maps a spread half back to p-ary digits (every slot mod p).
+        The images omega*x^j, j < e, are the e products made with mul_codes;
+        the tables of omega*lo and omega*(hi*x^h) are then built one digit
+        at a time, each entry an earlier entry plus a multiple of an image,
+        reduced through r.  Each entry is kept as its low and high spread
+        half, so a step is four lookups, two additions and two r lookups.
+        The step tables hold 2p^h + 2p^(e-h) + B^h entries, O(order) for
+        every (p, e).
         """
         p, e, omega = self.p, self.e, self.omega_code
         h = (e + 1) // 2
         P, B = p ** h, 2 * p - 1
-        Bh = B ** h
         spread, r = [0], [0]  # h-digit half: p-ary -> spread, spread -> p-ary
         for j in range(h):
             spread = [s + d * B ** j for d in range(p) for s in spread]
             r = [t + (d % p) * p ** j for d in range(B) for t in r]
 
-        def spread_code(c):
-            return spread[c % P] + spread[c // P] * Bh
+        def tables(js):
+            """Spread halves of omega * sum(d_j x^j) over the digits d_j of
+            the positions js, indexed by the p-ary code of the digits."""
+            lows, highs = [0], [0]
+            for j in js:
+                c = self.mul_codes(omega, p ** j)
+                a, b = spread[c % P], spread[c // P]
+                ma, mb = [0], [0]  # the multiples d * omega * x^j, d < p
+                for _ in range(p - 1):
+                    ma.append(spread[r[ma[-1] + a]])
+                    mb.append(spread[r[mb[-1] + b]])
+                lows = [spread[r[s + m]] for m in ma for s in lows]
+                highs = [spread[r[s + m]] for m in mb for s in highs]
+            return lows, highs
 
-        w_lo = [spread_code(self.mul_codes(omega, lo)) for lo in range(P)]
-        w_hi = [spread_code(self.mul_codes(omega, hi * P))
-                for hi in range(p ** (e - h))]
+        lo_lo, lo_hi = tables(range(h))
+        hi_lo, hi_hi = tables(range(h, e))
         log = array("i", [-1]) * self.order
         # stored through a memoryview: an array item assignment parses its
         # argument with a format string, a memoryview's stores it directly
@@ -207,8 +250,7 @@ class ExtensionField:
             lo, hi = 1, 0
             for i in range(max(self.N, 1)):
                 log_w[lo + hi * P] = i
-                s = w_lo[lo] + w_hi[hi]
-                lo, hi = r[s % Bh], r[s // Bh]
+                lo, hi = r[lo_lo[lo] + hi_lo[hi]], r[lo_hi[lo] + hi_hi[hi]]
         return log
 
     # -- code-level arithmetic (polynomial route, independent of the tables)
@@ -253,10 +295,23 @@ class ExtensionField:
         return self._encode(result)
 
     def _has_full_order(self, code):
+        """Whether code is a primitive element: c^(N/t) != 1 for each prime
+        t dividing N.
+
+        When t also divides p - 1, c^(N/t) = N(c)^((p-1)/t) with the norm
+        N(c) = c^(N/(p-1)) in F_p, which is the resultant Res(modulus, c):
+        one Euclidean resultant per code and an integer power mod p replace
+        square-and-multiply.  Every other t takes pow_code.
+        """
         if type(code) is not int or not 0 < code < self.order:
             return False
-        for t in _prime_factors(self.N):
-            if self.pow_code(code, self.N // t) == 1:
+        p, N = self.p, self.N
+        norm = _resultant(self.modulus, self._compute_digits(code), p)
+        for t in _prime_factors(N):
+            if (p - 1) % t == 0:
+                if pow(norm, (p - 1) // t, p) == 1:
+                    return False
+            elif self.pow_code(code, N // t) == 1:
                 return False
         return True
 

@@ -1,12 +1,14 @@
 """Optical orthogonal codes: index sets, correlation checks and bounds.
 
 The translation layer takes each field subset W^* as its log indices, S(W).
-A codeword is its support, an IndexSet; the binary word is only how
-the bits file prints it.  Correlation maxima are exact: they come from the
-package's one counting kernel, subspaces._column_counts, which stacks the
-words' doubled indicators in one big integer and adds its shifts into
-bit-sliced counters.  These then hold every cyclic count |X_i ∩ (X_j + tau)|
-with i <= j for one word j at a time, in sparse and dense families alike.
+A codeword is its support, an IndexSet: its members as a strictly
+increasing tuple, since every reader scans them in order and none tests
+membership; the binary word is only how the bits file prints it.
+Correlation maxima are exact: they come from the package's one counting
+kernel, subspaces._column_counts, which stacks the words' doubled
+indicators in one big integer and adds its shifts into bit-sliced
+counters.  These then hold every cyclic count |X_i ∩ (X_j + tau)| with
+i <= j for one word j at a time, in sparse and dense families alike.
 """
 
 from __future__ import annotations
@@ -33,17 +35,30 @@ class VerificationError(RuntimeError):
 # index sets
 # ---------------------------------------------------------------------------
 
+def _increasing(t):
+    return all(a < b for a, b in zip(t, t[1:]))
+
+
 class IndexSet:
-    """A subset of Z_n."""
+    """A subset of Z_n; members is the strictly increasing tuple of its
+    elements, so equal sets compare and hash equal."""
 
     __slots__ = ("n", "members")
 
     def __init__(self, n, members):
+        """members is any collection of distinct ints in range(n).  A
+        strictly increasing tuple is kept as it is, anything else sorted
+        into one; a repeated member is an OocError."""
         if type(n) is not int or n < 1:
             raise OocError(f"modulus must be a positive integer, got {n!r}")
-        # the type check comes first, so min and max compare ints only
-        if members and (set(map(type, members)) != {int}
-                        or min(members) < 0 or max(members) >= n):
+        # the type check comes first, so sorting compares ints only
+        if members and set(map(type, members)) != {int}:
+            raise OocError("index set member out of range")
+        if type(members) is not tuple or not _increasing(members):
+            members = tuple(sorted(members))
+            if not _increasing(members):
+                raise OocError("index set repeats a member")
+        if members and (members[0] < 0 or members[-1] >= n):
             raise OocError("index set member out of range")
         self.n = n
         self.members = members
@@ -60,7 +75,7 @@ class IndexSet:
         return f"IndexSet(n={self.n}, members={self.members!r})"
 
     def sorted(self):
-        return sorted(self.members)
+        return list(self.members)
 
 
 def support(X):
@@ -77,8 +92,9 @@ def unsupport(X, n):
 
 def s_of_w(fld, W):
     """S(W) = {i : omega^i in W} from W^*'s log indices, not copied if a
-    frozenset; zero (index -1) is out of range, an OocError."""
-    return IndexSet(fld.N, frozenset(W))
+    strictly increasing tuple, as a coset family holds them; zero (index
+    -1) is out of range, an OocError."""
+    return IndexSet(fld.N, W)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +338,7 @@ def read_ooc_text(path):
             while i >= 0:
                 members.append(i)
                 i = line.find("1", i + 1)
-            sets.append(IndexSet(len(line), frozenset(members)))
+            sets.append(IndexSet(len(line), tuple(members)))
     if not sets:
         raise OocError("no codewords in file")
     if len({X.n for X in sets}) != 1:
@@ -355,7 +371,7 @@ def oos_from_dict(d):
         if len(set(s)) != len(s):
             raise OocError(f"OOS file: set {i} repeats a member")
     try:
-        return [IndexSet(d["n"], frozenset(s)) for s in sets]
+        return [IndexSet(d["n"], s) for s in sets]
     except OocError as exc:
         raise OocError(f"OOS file: {exc}") from None
 

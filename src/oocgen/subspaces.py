@@ -394,8 +394,9 @@ def coset_representatives(U):
 
 
 class CosetFamily:
-    """The affine family {U_i + omega^a}: each coset W^* as the frozenset of
-    its log indices, grouped by U_i in order, each group in scan order."""
+    """The affine family {U_i + omega^a}: each coset W^* as the strictly
+    increasing tuple of its log indices, grouped by U_i in order, each
+    group in scan order."""
 
     __slots__ = ("cosets",)
 
@@ -405,7 +406,7 @@ class CosetFamily:
 
 def build_coset_family(code):
     """The cosets U_i + omega^a of every representative U_i, each a from
-    one log-domain covering scan, as frozensets of log indices.
+    one log-domain covering scan, as sorted tuples of log indices.
 
     The orbits must be disjoint and full-length: each U_i stabilised by
     F_q^* alone.  A larger stabiliser would make two cosets of one orbit
@@ -420,6 +421,6 @@ def build_coset_family(code):
             raise SubspaceError(f"orbit {j} is short: stabiliser of order "
                                 f"{order}, the construction needs "
                                 f"q - 1 = {q - 1}")
-    return CosetFamily(tuple(frozenset(coset)
+    return CosetFamily(tuple(tuple(sorted(coset))
                              for U in code.representatives
                              for _, coset in _coset_scan(U)))

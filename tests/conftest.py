@@ -40,6 +40,12 @@ def pair_difference_counts(X, Y, n):
     return c
 
 
+def strictly_increasing(word):
+    """Whether a word is a strictly increasing tuple, the form IndexSet
+    members and coset family words take."""
+    return type(word) is tuple and all(a < b for a, b in zip(word, word[1:]))
+
+
 def shift(X, tau):
     """X + tau in Z_n."""
     return IndexSet(X.n, frozenset((a + tau) % X.n for a in X.members))

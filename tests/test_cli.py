@@ -115,7 +115,8 @@ def test_verify_oos_missing_or_bad_key_is_data_error(tmp_path, capsys, blob):
 
 def test_verify_oos_set_with_repeated_member_is_data_error(tmp_path,
                                                          capsys):
-    # as a frozenset, [0, 0, 1] would silently verify as {0, 1}
+    # [0, 0, 1] is refused, not verified as {0, 1}, and the message names
+    # the set
     path = tmp_path / "rep.oos.json"
     path.write_text(json.dumps({"n": 7, "sets": [[0, 0, 1], [2, 4]]}))
     assert main(["verify", str(path), "--lambda", "1"]) == 2

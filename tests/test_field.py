@@ -13,7 +13,8 @@ from sympy import GF, Poly, Symbol, factorint
 
 from oocgen import (FieldError, factor_prime_power, field, field_create,
                     field_from_descriptor, field_for_prime_power)
-from oocgen.field import ExtensionField, _prime_factors, canonical_modulus
+from oocgen.field import (ExtensionField, _prime_factors, _resultant,
+                          canonical_modulus)
 from conftest import (code_of, first_irreducible, gaussian_binomial, log_of,
                       neg, poly_exp_table, sub, subfield_coords)
 
@@ -71,8 +72,8 @@ def test_canonical_modulus_is_first_irreducible_of_full_scan(p):
 
 # (10007, 1) guards against any table that grows as p^2
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (10007, 1), (2, 5), (2, 12),
-                                 (3, 5), (3, 8), (5, 3), (7, 4), (13, 3),
-                                 (31, 3)])
+                                 (3, 5), (3, 8), (5, 3), (5, 5), (7, 4),
+                                 (13, 3), (31, 3)])
 def test_tables_match_polynomial_stepping_oracle(p, e):
     f = field_create(p, e)
     exp, log, zech = poly_exp_table(f)
@@ -84,6 +85,58 @@ def test_tables_match_polynomial_stepping_oracle(p, e):
     # omega^L has order N / gcd(L, N): omega is the smallest primitive code
     assert f.omega_code == min(c for c in range(1, f.order)
                                if math.gcd(log[c], f.N) == 1)
+
+
+# the norm to F_p of c is c^(N/(p-1)), a constant; Res(modulus, c) finds it
+# without square-and-multiply
+@given(st.sampled_from([(3, 1), (3, 8), (5, 5), (7, 4), (11, 2), (13, 3)]),
+       st.data())
+def test_resultant_is_the_norm_and_decides_the_order(pe, data):
+    p, e = pe
+    f = field_create(p, e)
+    c = data.draw(st.integers(1, f.order - 1))
+    norm = _resultant(f.modulus, f._compute_digits(c), p)
+    assert norm == f.pow_code(c, f.N // (p - 1))
+    assert f._has_full_order(c) == all(
+        f.pow_code(c, f.N // t) != 1 for t in _prime_factors(f.N))
+
+
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 8), (7, 4), (13, 3)])
+def test_log_table_makes_e_products(monkeypatch, p, e):
+    f = field_create(p, e)
+    calls = []
+    mul_codes = f.mul_codes
+
+    def counted(a, b):
+        calls.append(b)
+        return mul_codes(a, b)
+
+    monkeypatch.setattr(f, "mul_codes", counted)
+    log = f._log_table()
+    # omega times x^j, j < e: the codes of x^j are p^j
+    assert sorted(calls) == [p ** j for j in range(e)]
+    assert tuple(log) == poly_exp_table(f)[1]
+
+
+@pytest.mark.parametrize("p,e", [(3, 8), (5, 5), (7, 4), (13, 3)])
+def test_order_test_takes_pow_code_only_for_primes_not_dividing_p_minus_1(
+        monkeypatch, p, e):
+    f = field_create(p, e)
+    exps = []
+    pow_code = f.pow_code
+
+    def counted(a, x):
+        exps.append(x)
+        return pow_code(a, x)
+
+    monkeypatch.setattr(f, "pow_code", counted)
+    verdicts = [f._has_full_order(c) for c in range(1, 200)]
+    # each exponent is N/t for a prime t that does not divide p - 1
+    assert exps and all((p - 1) % (f.N // x) for x in exps)
+    monkeypatch.undo()
+    assert verdicts == [all(f.pow_code(c, f.N // t) != 1
+                            for t in _prime_factors(f.N))
+                        for c in range(1, 200)]
 
 
 @pytest.mark.parametrize("p,e", [(3, 8), (2, 12)])

@@ -15,7 +15,7 @@ from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from oocgen.subspaces import _column_counts, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
-                      shift)
+                      shift, strictly_increasing)
 
 
 F81 = field_create(3, 4)
@@ -64,7 +64,8 @@ def test_read_ooc_text_matches_per_character_parse(tmp_path, lines):
 def test_support_basic():
     X = IndexSet(4, frozenset({0, 2}))
     assert bits(support(X)) == (1, 0, 1, 0)
-    assert support(X).members == {0, 2}
+    assert set(support(X).members) == {0, 2}
+    assert strictly_increasing(support(X).members)
     assert len(support(X).members) == 2
 
 
@@ -87,8 +88,34 @@ def test_index_set_rejects_bad_modulus_or_member(n, members):
 
 
 def test_index_set_accepts_the_empty_set_and_the_whole_range():
-    assert IndexSet(5, frozenset()).members == frozenset()
+    assert IndexSet(5, frozenset()).members == ()
     assert IndexSet(5, frozenset(range(5))).sorted() == [0, 1, 2, 3, 4]
+
+
+def test_index_set_keeps_an_increasing_tuple_and_sorts_anything_else():
+    t = (0, 3, 5)
+    assert IndexSet(7, t).members is t
+    for members in ([5, 0, 3], (5, 3, 0), {0, 3, 5}, frozenset({5, 3, 0})):
+        assert IndexSet(7, members).members == t
+
+
+def test_index_set_with_a_repeated_member_is_refused():
+    # a repeat used to count twice: [0, 0, 1] had weight 3 and max_auto 2
+    for members in ([0, 0, 1], (0, 0, 1), (0, 1, 1), [1, 0, 1]):
+        with pytest.raises(OocError, match="repeats a member"):
+            IndexSet(7, members)
+    report = verify_oos([IndexSet(7, [0, 1])], 2)
+    assert report.max_auto == 1
+
+
+def test_equal_index_sets_compare_and_hash_equal_in_any_order():
+    forms = [IndexSet(7, [1, 0]), IndexSet(7, frozenset({0, 1})),
+             IndexSet(7, (0, 1)), IndexSet(7, (1, 0)), IndexSet(7, {1, 0})]
+    for X in forms:
+        assert X == forms[0] and hash(X) == hash(forms[0])
+    assert len(set(forms)) == 1
+    assert IndexSet(7, (0, 1)) != IndexSet(8, (0, 1))
+    assert IndexSet(7, (0, 1)) != IndexSet(7, (0, 2))
 
 
 def test_unsupport_rejects_out_of_range():
@@ -97,10 +124,11 @@ def test_unsupport_rejects_out_of_range():
 
 
 def test_s_of_w_examples():
-    assert s_of_w(F81, [0]).members == {0}
-    assert s_of_w(F81, [3, 7]).members == {3, 7}
-    # a coset's frozenset of log indices is taken as it is, not copied
-    W = frozenset({1, 5, 40})
+    assert set(s_of_w(F81, [0]).members) == {0}
+    assert set(s_of_w(F81, [7, 3]).members) == {3, 7}
+    assert strictly_increasing(s_of_w(F81, [7, 3]).members)
+    # a coset's sorted tuple of log indices is taken as it is, not copied
+    W = (1, 5, 40)
     assert s_of_w(F81, W).members is W
     # W^* holds no zero: its log index -1 is out of range
     with pytest.raises(OocError):

@@ -19,8 +19,8 @@ from oocgen.subspaces import Subspace, _log_exact
 from conftest import (canonical_sidon_f64, code_size, field_coset_family,
                       gaussian_binomial, greedy_coset_representatives,
                       is_multi_sidon, is_sidon, log_of, norm_conditions,
-                      orbit_size, neg, rank_dim_intersection, scaled, sub,
-                      w_and_xi)
+                      orbit_size, neg, rank_dim_intersection, scaled,
+                      strictly_increasing, sub, w_and_xi)
 
 
 F81 = field_create(3, 4)
@@ -497,7 +497,8 @@ FAMILY_CASES = ["q3k2", "q5k2", "sidon_f64", "random"]
 def test_coset_family_matches_field_oracle(case):
     for code in _family_codes(case):
         fam, oracle = build_coset_family(code), field_coset_family(code)
-        assert fam.cosets == oracle.cosets
+        assert [frozenset(c) for c in fam.cosets] == list(oracle.cosets)
+        assert all(strictly_increasing(c) for c in fam.cosets)
         # t = (q^(m-k) - 1)/(q - 1) cosets per representative
         q, k = code.ground_q, code.dim
         t = (code.field.order // q ** k - 1) // (q - 1)
@@ -527,11 +528,11 @@ def test_coset_family_q3(pipeline_q3):
     assert len(fam.cosets) == 4
     for coset in fam.cosets:
         # W^* as log indices: nine nonzero elements, no -1
-        assert type(coset) is frozenset and len(coset) == 9
+        assert strictly_increasing(coset) and len(coset) == 9
         assert all(type(x) is int and 0 <= x < 80 for x in coset)
     # distinct cosets of the same subspace are disjoint
     for c1, c2 in itertools.combinations(fam.cosets, 2):
-        assert not c1 & c2
+        assert not set(c1) & set(c2)
 
 
 def test_scaled_pair_orbits_are_not_disjoint():
@@ -554,7 +555,8 @@ def test_proposition_intersection_bounds(pipeline_q3):
     code, _, _, _ = pipeline_q3
     fam = build_coset_family(code)
     bound = 3 ** (2 - code.min_distance // 2)
-    csets = fam.cosets
+    assert all(strictly_increasing(c) for c in fam.cosets)
+    csets = [frozenset(c) for c in fam.cosets]
     for a in range(80):
         for i, ci in enumerate(csets):
             shifted = [frozenset((x + a) % 80 for x in c) for c in csets]
