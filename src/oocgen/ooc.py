@@ -4,18 +4,16 @@ The translation layer takes each field subset W^* as its log indices, S(W).
 A codeword is its support, an IndexSet: its members as a strictly
 increasing tuple, since every reader scans them in order and none tests
 membership; the binary word is only how the bits file prints it.
-Correlation maxima are exact: they come from the package's one counting
-kernel, subspaces._column_counts, which stacks the words' doubled
-indicators in one big integer and adds its shifts into bit-sliced
-counters.  These then hold every cyclic count |X_i ∩ (X_j + tau)| with
-i <= j for one word j at a time, in sparse and dense families alike.
+Correlation maxima are exact: subspaces._column_counts, the one counting
+kernel, holds every cyclic count |X_i ∩ (X_j + tau)| for one word j at a
+time, read through its masks own (i = j) and below (i < j).
 """
 
 from __future__ import annotations
 
 import json
 
-from .subspaces import (_column_counts, _peak, build_coset_family,
+from .subspaces import (_column_counts, _first, _peak, build_coset_family,
                         check_g_params)
 
 
@@ -136,45 +134,39 @@ def verify_oos(sets, lam):
     carries the exact maxima and the first witness of each: the lowest word,
     or the lowest word pair (i, j) in lexicographic order, that reaches the
     maximum, then its smallest tau.  One pass of _column_counts gives every
-    count; for column j, _peak over block j's bits 1..n-1 and over the
-    blocks below j gives its largest auto- and cross-correlation, and the
-    lowest bit holding each its smallest tau (for the cross, first i).
+    count: _peak over column j's own mask less tau = 0 and over its below
+    mask gives its largest auto- and cross-correlation, and _first (i, tau).
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
     if not sets:
         raise OocError("empty family")
-    n = sets[0].n
-    w = len(sets[0].members)
+    n, w = sets[0].n, len(sets[0].members)
     for i, X in enumerate(sets):
         if X.n != n:
             raise OocError(f"set {i} has modulus {X.n}, expected {n}")
         if len(X.members) != w:
             raise OocError(f"sets 0 and {i} have different weights "
                            f"({w} vs {len(X.members)})")
+    auto = cross = None  # the witnesses so far
+    columns = _column_counts([X.members for X in sets], n)
     try:
-        low, stride = (1 << n) - 1, 2 * n
+        for j, (planes, own, below) in enumerate(columns):
+            v, bits = _peak(planes, own & own - 1)  # own less tau = 0
+            if auto is None or v > auto["value"]:
+                tau = _first(bits, n)[1] if bits else None
+                auto = {"kind": "auto", "word": j, "tau": tau, "value": v}
+            if below:
+                v, bits = _peak(planes, below)
+                i, tau = _first(bits, n)
+                if cross is None or (v, -i) > (cross["value"],
+                                               -cross["words"][0]):
+                    cross = {"kind": "cross", "words": [i, j], "tau": tau,
+                             "value": v}
     except OverflowError:
         raise OocError(f"modulus n = {n} is too large to verify") from None
-    below = 0  # bits [0, n) of every block before the current one
-    max_auto, auto_wit = 0, None
-    max_cross, cross_wit = 0, None
-    for j, planes in enumerate(_column_counts([X.members for X in sets], n)):
-        offset = stride * j
-        v, bits = _peak(planes, (low - 1) << offset)
-        if v > max_auto or auto_wit is None:
-            tau = (bits & -bits).bit_length() - 1 - offset if bits else None
-            max_auto, auto_wit = v, {"kind": "auto", "word": j, "tau": tau,
-                                     "value": v}
-        if j:
-            v, bits = _peak(planes, below)
-            i, tau = divmod((bits & -bits).bit_length() - 1, stride)
-            if (cross_wit is None or v > max_cross
-                    or v == max_cross and i < cross_wit["words"][0]):
-                max_cross, cross_wit = v, {"kind": "cross", "words": [i, j],
-                                           "tau": tau, "value": v}
-        below |= low << offset
-    witnesses = [wit for wit in (auto_wit, cross_wit) if wit is not None]
+    max_auto, max_cross = auto["value"], cross["value"] if cross else 0
+    witnesses = [auto, cross] if cross else [auto]
     passed = max(max_auto, max_cross) <= lam
     return VerificationReport(max_auto, max_cross, witnesses, passed)
 
@@ -367,13 +359,15 @@ def oos_from_dict(d):
             isinstance(s, list) and all(type(a) is int for a in s)
             for s in sets):
         raise OocError("OOS file: 'sets' must be a list of integer lists")
+    words = []
     for i, s in enumerate(sets):
-        if len(set(s)) != len(s):
-            raise OocError(f"OOS file: set {i} repeats a member")
-    try:
-        return [IndexSet(d["n"], s) for s in sets]
-    except OocError as exc:
-        raise OocError(f"OOS file: {exc}") from None
+        try:
+            words.append(IndexSet(d["n"], s))
+        except OocError as exc:
+            if "repeats" in str(exc):  # IndexSet cannot name the set
+                exc = f"set {i} repeats a member"
+            raise OocError(f"OOS file: {exc}") from None
+    return words
 
 
 def write_json(obj, path):

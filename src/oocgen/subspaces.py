@@ -10,11 +10,11 @@ count on the nonzero indices answers it for every a at once:
 One kernel makes every such count in the package: _column_counts adds the
 shifts of stacked indicators into bit-sliced counter planes, for sparse and
 dense sets alike, four rows at a time through a carry-save (Harley–Seal)
-adder in front of a ripple carry.  One reader, _peak, reads the planes
-through a mask: the largest count in it and every position that holds it.
-On an orbit's own column, the positions whose count is the whole
-subspace are its stabiliser, so the same pass also tells a short orbit.
-ooc.verify_oos runs the same kernel over the OOC words.
+adder in front of a ripple carry, and yields the masks that read them.
+_peak reads the planes through a mask: the largest count in it and every
+position that holds it.  On an orbit's own mask, the positions whose count
+is the whole subspace are its stabiliser, so the same pass also tells a
+short orbit.  ooc.verify_oos runs the same kernel over the OOC words.
 """
 
 from __future__ import annotations
@@ -38,15 +38,16 @@ def _log_exact(size, q):
 
 
 def _column_counts(sets, n):
-    """Bit-sliced cyclic difference counts, one column of the family at a
-    time: for each j, the counter planes of set j against sets 0..j.
+    """For each column j of the family, yield (planes, own, below): the
+    bit-sliced cyclic difference counts of set j against sets 0..j.
 
     Each set is a collection of distinct members of range(n).  Set i's
     doubled indicator x | x << n sits at bit offset 2n·i of one integer B,
     built up as j grows.  For y in X_j, bits [0, n) of block i of the row
     B >> y hold the rotation X_i - y, so adding the rows over all y in X_j
     leaves c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the
-    count is that bit of plane k.
+    count is that bit of plane k.  own masks block j's bits [0, n), below
+    those of blocks 0..j-1; callers read counts only through them and _first.
 
     The rows enter four at a time through a carry-save (Harley–Seal)
     front end: two levels of full adders, five plane operations each, fold
@@ -59,7 +60,7 @@ def _column_counts(sets, n):
     planes, reset in place, so the caller's reference to the last column
     does not keep its counts alive while the next is counted.
     """
-    B, planes = 0, []
+    B, planes, below, own = 0, [], 0, (1 << n) - 1
     for j, X in enumerate(sets):
         rows = list(X)
         x = 0
@@ -84,9 +85,12 @@ def _column_counts(sets, n):
                 _ripple(planes, 2, twos & t | u & h)
                 twos = u ^ h
             planes[0], planes[1] = ones, twos
+            del a, b, u, t, h  # not held while the next masks are made
         for y in rows[cut:]:
             _ripple(planes, 0, B >> y)
-        yield planes
+        if j:  # only now: the caller holds the last masks while j counts
+            below, own = below | own, own << 2 * n
+        yield planes, own, below
 
 
 def _ripple(planes, k, carry):
@@ -109,6 +113,11 @@ def _peak(planes, mask):
         if hit:
             mask, value = hit, value | 1 << k
     return value, mask
+
+
+def _first(bits, n):
+    """(i, tau) of the lowest set bit of bits, a count of block i."""
+    return divmod((bits & -bits).bit_length() - 1, 2 * n)
 
 
 def _nonzero(U):
@@ -251,25 +260,22 @@ def _orbit_sweep(code):
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
     sweep of alpha against fixed representatives is exact.  One pass of
     _column_counts gives c[a] = |U_i ∩ omega^a U_j| - 1 for every orbit
-    pair i <= j.  On the diagonal a = 0 holds the largest count, |U_j| - 1,
-    so the peak's bits are U_j's stabiliser, left out of the distance.  The
-    rest is walked peak by peak from the top: each count must be q^e - 1
-    for some e, the size of a subspace less zero.
+    pair i <= j.  In column j's own mask a = 0 holds the largest count,
+    |U_j| - 1, so its peak is U_j's stabiliser, left out of the distance.
+    The rest of own and all of below are walked peak by peak from the top:
+    each count must be q^e - 1 for some e, a subspace's size less zero.
     """
     reps = code.representatives
     q, N, k = code.ground_q, code.field.N, code.dim
-    low, stride = (1 << N) - 1, 2 * N
-    below, most, orders = 0, -1, []  # most: max dim(U_i ∩ omega^a U_j)
-    for j, planes in enumerate(_column_counts(map(_nonzero, reps), N)):
-        diag = low << stride * j
-        _, stab = _peak(planes, diag)
+    most, orders = -1, []  # most: max dim(U_i ∩ omega^a U_j)
+    for planes, own, below in _column_counts(map(_nonzero, reps), N):
+        _, stab = _peak(planes, own)
         orders.append(stab.bit_count())
-        region = below | diag ^ stab  # stab lies in diag
+        region = below | own ^ stab  # stab lies in own
         while region:
             v, bits = _peak(planes, region)
             most = max(most, _log_exact(1 + v, q))
             region ^= bits  # bits lie in region
-        below |= diag
     if most < 0:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
                             "is undefined")

@@ -12,7 +12,7 @@ from oocgen import (IndexSet, OocCode, OocError, build_ooc, construct_g,
                     params_table, s_of_w, verify_oos)
 from oocgen import field, ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _column_counts, _peak
+from oocgen.subspaces import _column_counts, _first, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
                       shift, strictly_increasing)
@@ -160,23 +160,24 @@ def test_shift_matches_field_scaling():
 # ---------------------------------------------------------------------------
 
 # The correlation maxima are read off the kernel's planes directly:
-# |X ∩ (X + tau)| for 0 < tau < n from the column of [X], and
-# |X ∩ (Y + tau)| for 0 <= tau < n from block 0 of the column [X, Y],
-# each with the lowest tau that reaches it (None for an empty mask).
+# |X ∩ (X + tau)| for 0 < tau < n from the own mask of the column of [X]
+# less its lowest bit (tau = 0), and |X ∩ (Y + tau)| for 0 <= tau < n from
+# the below mask of the column [X, Y], each with the lowest tau that
+# reaches it (None for an empty mask).
 
-def _lowest_peak(planes, mask):
+def _lowest_peak(planes, mask, n):
     v, bits = _peak(planes, mask)
-    return v, (bits & -bits).bit_length() - 1 if bits else None
+    return v, _first(bits, n)[1] if bits else None
 
 
 def _auto_peak(X):
-    planes, = _column_counts([X.members], X.n)
-    return _lowest_peak(planes, (1 << X.n) - 2)
+    (planes, own, _), = _column_counts([X.members], X.n)
+    return _lowest_peak(planes, own & own - 1, X.n)
 
 
 def _cross_peak(X, Y):
-    _, planes = _column_counts([X.members, Y.members], X.n)
-    return _lowest_peak(planes, (1 << X.n) - 1)
+    _, (planes, _, below) = _column_counts([X.members, Y.members], X.n)
+    return _lowest_peak(planes, below, X.n)
 
 
 def test_autocorr_singleton():
@@ -232,20 +233,25 @@ def _set_pair(draw):
     return IndexSet(n, draw(members)), IndexSet(n, draw(members))
 
 
-def _plane_counts(planes, n):
-    """The count at each bit of [0, n), read off the counter planes."""
-    c = [0] * n
+def _plane_counts(planes, mask):
+    """The count at each bit of mask, lowest bit first, read off the
+    counter planes."""
+    width = mask.bit_length()
+    at = [t for t, b in enumerate(format(mask, "b")[::-1]) if b == "1"]
+    c = [0] * len(at)
     for k, P in enumerate(planes):
-        for t, b in enumerate(format(P & (1 << n) - 1, f"0{n}b")[::-1]):
-            if b == "1":
-                c[t] += 1 << k
+        row = format(P & mask, f"0{width}b")[::-1]
+        for i, t in enumerate(at):
+            if row[t] == "1":
+                c[i] += 1 << k
     return c
 
 
 def _counts(X, Y, n):
-    """c[tau] = |X ∩ (Y + tau)| from the kernel: block 0 of column [X, Y]."""
-    _, planes = _column_counts([X, Y], n)
-    return _plane_counts(planes, n)
+    """c[tau] = |X ∩ (Y + tau)| from the kernel: the below mask of column
+    [X, Y]."""
+    _, (planes, _, below) = _column_counts([X, Y], n)
+    return _plane_counts(planes, below)
 
 
 @given(_set_pair())
@@ -281,7 +287,7 @@ def _masked_pair(draw):
 def test_peak_matches_pair_loop(case):
     X, Y, n, mask = case
     c = pair_difference_counts(X, Y, n)
-    _, planes = _column_counts([X, Y], n)
+    _, (planes, _, _) = _column_counts([X, Y], n)
     assert len(planes) == len(Y).bit_length()  # [] for an empty Y
     masked = [t for t in range(n) if mask >> t & 1]
     best = max((c[t] for t in masked), default=0)
@@ -319,9 +325,9 @@ def test_column_counts_small_cases(X, Y, n):
 def test_column_counts_at_plane_count_boundaries(m, n):
     # a count of 255 fits eight planes, 256 needs nine; the counts of
     # negative differences wrap round to the top of c
-    planes, = _column_counts([range(m)], n)
+    (planes, own, _), = _column_counts([range(m)], n)
     assert len(planes) == m.bit_length()
-    assert _plane_counts(planes, n) == _range_counts(m, n)
+    assert _plane_counts(planes, own) == _range_counts(m, n)
     assert _range_counts(m, n) == pair_difference_counts(range(m),
                                                          range(m), n)
 
@@ -329,25 +335,26 @@ def test_column_counts_at_plane_count_boundaries(m, n):
 @pytest.mark.parametrize("m", [65535])
 def test_column_counts_at_sixteen_planes(m):
     # 65535 is the largest count sixteen planes hold
-    planes, = _column_counts([range(m)], m + 1)
+    (planes, own, _), = _column_counts([range(m)], m + 1)
     assert len(planes) == 16
-    c = _plane_counts(planes, m + 1)
+    c = _plane_counts(planes, own)
     assert c == _range_counts(m, m + 1)
     assert c[0] == m
 
 
 def _check_columns(sets, n):
     """Every column of _column_counts against the bit oracle: block i of
-    column j holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length() planes."""
-    stride = 2 * n
-    for j, planes in enumerate(_column_counts(sets, n)):
+    column j holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length() planes;
+    block i is read through the own mask that column i yielded."""
+    owns = []
+    for j, (planes, own, _) in enumerate(_column_counts(sets, n)):
+        owns.append(own)
         assert len(planes) == len(sets[j]).bit_length()
         yb = [1 if t in sets[j] else 0 for t in range(n)]
         for i in range(j + 1):
             xb = [1 if t in sets[i] else 0 for t in range(n)]
-            block = [P >> stride * i for P in planes]
-            assert _plane_counts(block, n) == [bit_corr(yb, xb, tau)
-                                               for tau in range(n)]
+            assert _plane_counts(planes, owns[i]) == [bit_corr(yb, xb, tau)
+                                                      for tau in range(n)]
 
 
 def test_column_counts_for_every_set_size_to_nine():
@@ -365,6 +372,26 @@ def test_column_counts_for_every_set_size_to_nine():
 def test_column_counts_of_mixed_sizes_match_bit_oracle(case):
     n, sets = case
     _check_columns(sets, n)
+
+
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.frozensets(st.integers(0, n - 1), max_size=9), max_size=6))))
+def test_column_counts_yield_the_layout_masks(case):
+    # the layout contract: column j's counts against set i sit at bits
+    # [2n·i, 2n·i + n), own is block j's, below every earlier block's, and
+    # _first reads a count's bit back as (i, tau)
+    n, sets = case
+    earlier, columns = 0, 0
+    for j, (_, own, below) in enumerate(_column_counts(sets, n)):
+        assert own == ((1 << n) - 1) << 2 * n * j
+        assert below == earlier
+        earlier |= own
+        columns += 1
+        for tau in range(n):
+            bit = 1 << 2 * n * j + tau
+            assert _first(bit, n) == (j, tau)
+            assert _first(bit | own << n, n) == (j, tau)  # the lowest bit
+    assert columns == len(sets)
 
 
 @st.composite
@@ -490,6 +517,14 @@ def test_verify_oos_refuses_mixed_moduli():
     sets = [IndexSet(5, frozenset({0, 1})), IndexSet(6, frozenset({0, 2}))]
     with pytest.raises(OocError, match=r"^set 1 has modulus 6, expected 5$"):
         verify_oos(sets, 1)
+
+
+def test_verify_oos_refuses_a_modulus_too_large_to_lay_out():
+    # the kernel's masks cannot be built for n = 2^70: an OverflowError
+    # raised inside the column loop becomes a data error
+    n = 2 ** 70
+    with pytest.raises(OocError, match=rf"^modulus n = {n} is too large to"):
+        verify_oos([IndexSet(n, (0,))], 1)
 
 
 def test_verify_oos_counts_without_difference_counts():
