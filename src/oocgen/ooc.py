@@ -1,19 +1,18 @@
 """Optical orthogonal codes: index sets, correlation checks and bounds.
 
 The translation layer takes each field subset W^* as its log indices, S(W).
-A codeword is its support, an IndexSet: its members as a strictly
-increasing tuple, since every reader scans them in order and none tests
-membership; the binary word is only how the bits file prints it.
-Correlation maxima are exact: subspaces._column_counts, the one counting
-kernel, holds every cyclic count |X_i ∩ (X_j + tau)| for one word j at a
-time, read through its masks own (i = j) and below (i < j).
+A codeword is its support, an IndexSet: its members as a strictly increasing
+tuple, since every reader scans them in order and none tests membership; the
+binary word is only how the bits file prints it.  Correlation maxima are exact:
+subspaces._BlockStack, the one counting kernel, gives every count
+|X_i ∩ (X_j + tau)|, read through its masks own (i = j) and below (i < j).
 """
 
 from __future__ import annotations
 
 import json
 
-from .subspaces import (_column_counts, _first, _peak, build_coset_family,
+from .subspaces import (_BlockStack, _peak, build_coset_family,
                         check_g_params)
 
 
@@ -133,9 +132,9 @@ def verify_oos(sets, lam):
     All members must share the modulus and have equal size.  The report
     carries the exact maxima and the first witness of each: the lowest word,
     or the lowest word pair (i, j) in lexicographic order, that reaches the
-    maximum, then its smallest tau.  One pass of _column_counts gives every
-    count: _peak over column j's own mask less tau = 0 and over its below
-    mask gives its largest auto- and cross-correlation, and _first (i, tau).
+    maximum, then its smallest tau.  One _BlockStack counts and pushes each
+    word j in turn: _peak over its own mask less tau = 0 and over its below
+    mask gives its largest auto- and cross-correlation, and first (i, tau).
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
@@ -149,16 +148,18 @@ def verify_oos(sets, lam):
             raise OocError(f"sets 0 and {i} have different weights "
                            f"({w} vs {len(X.members)})")
     auto = cross = None  # the witnesses so far
-    columns = _column_counts([X.members for X in sets], n)
     try:
-        for j, (planes, own, below) in enumerate(columns):
+        stack = _BlockStack(n)
+        for j, X in enumerate(sets):
+            planes, own, below = stack.count(X.members)
+            stack.push()
             v, bits = _peak(planes, own & own - 1)  # own less tau = 0
             if auto is None or v > auto["value"]:
-                tau = _first(bits, n)[1] if bits else None
+                tau = stack.first(bits)[1] if bits else None
                 auto = {"kind": "auto", "word": j, "tau": tau, "value": v}
             if below:
                 v, bits = _peak(planes, below)
-                i, tau = _first(bits, n)
+                i, tau = stack.first(bits)
                 if cross is None or (v, -i) > (cross["value"],
                                                -cross["words"][0]):
                     cross = {"kind": "cross", "words": [i, j], "tau": tau,

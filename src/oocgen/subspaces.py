@@ -7,14 +7,9 @@ over scalings asks for |U ∩ omega^a V| at each a, and one cyclic difference
 count on the nonzero indices answers it for every a at once:
 |U ∩ omega^a V| = 1 + #{(u, v) : u - v = a (mod N)}.
 
-One kernel makes every such count in the package: _column_counts adds the
-shifts of stacked indicators into bit-sliced counter planes, for sparse and
-dense sets alike, four rows at a time through a carry-save (Harley–Seal)
-adder in front of a ripple carry, and yields the masks that read them.
-_peak reads the planes through a mask: the largest count in it and every
-position that holds it.  On an orbit's own mask, the positions whose count
-is the whole subspace are its stabiliser, so the same pass also tells a
-short orbit.  ooc.verify_oos runs the same kernel over the OOC words.
+One kernel, _BlockStack, makes every such count in the package; _peak reads
+its planes through a mask.  On an orbit's own mask, the positions whose count
+is the whole subspace are its stabiliser, so one pass also tells a short orbit.
 """
 
 from __future__ import annotations
@@ -37,42 +32,41 @@ def _log_exact(size, q):
     return d
 
 
-def _column_counts(sets, n):
-    """For each column j of the family, yield (planes, own, below): the
-    bit-sliced cyclic difference counts of set j against sets 0..j.
+class _BlockStack:
+    """Bit-sliced cyclic difference counts of a set X against a stack of
+    sets: count(X) returns (planes, own, below), push() stacks that X.
 
-    Each set is a collection of distinct members of range(n).  Set i's
-    doubled indicator x | x << n sits at bit offset 2n·i of one integer B,
-    built up as j grows.  For y in X_j, bits [0, n) of block i of the row
-    B >> y hold the rotation X_i - y, so adding the rows over all y in X_j
-    leaves c[tau] = |X_i ∩ (X_j + tau)| at bit 2n·i + tau: bit k of the
-    count is that bit of plane k.  own masks block j's bits [0, n), below
-    those of blocks 0..j-1; callers read counts only through them and _first.
+    Stacked set i's doubled indicator x | x << n sits at bit offset 2n·i of
+    one integer B, and X's at the next offset.  For y in X, bits [0, n) of
+    block i of the row B >> y hold the rotation X_i - y, so the sum of the
+    rows holds c[tau] = |X_i ∩ (X + tau)| at bit 2n·i + tau: bit k of the
+    count is that bit of plane k.  own masks X's block's bits [0, n), below
+    the stacked blocks'; callers read counts only through them and first.
 
-    The rows enter four at a time through a carry-save (Harley–Seal)
-    front end: two levels of full adders, five plane operations each, fold
-    them into planes 0 (ones) and 1 (twos) and leave one carry of weight
-    four, which ripples up from plane 2 until it is 0.  The 0-3 rows left
-    after the last group ripple in from plane 0.  Bit positions never
-    interact, so the junk in bits [n, 2n) of a block never reaches [0, n),
-    and no count exceeds |X_j| < 2^d with d the number of planes; a group
-    of four needs |X_j| >= 4, so d >= 3.  Every column reuses one list of
-    planes, reset in place, so the caller's reference to the last column
-    does not keep its counts alive while the next is counted.
+    The rows enter four at a time through a carry-save (Harley–Seal) front
+    end, which sends one carry of weight four up from plane 2; the 0-3 rows
+    left over ripple in from plane 0.  Bits never interact, so the junk in a
+    block's bits [n, 2n) never reaches [0, n); no count exceeds |X| < 2^d.
+
+    count keeps nothing: the next count swaps X's block, top, for its own,
+    so B is the one stacked integer.  It resets the one planes list in place
+    before it counts, and advances the masks after a push only once it has
+    counted and dropped its adder temporaries: the caller may hold the last.
     """
-    B, planes, below, own = 0, [], 0, (1 << n) - 1
-    for j, X in enumerate(sets):
-        rows = list(X)
-        x = 0
-        for a in rows:
-            x |= 1 << a
-        B |= (x | x << n) << (2 * n * j)
+
+    def __init__(self, n):
+        self.n, self.B, self.planes, self.offset = n, 0, [], 0
+        self.own, self.below, self.top = (1 << n) - 1, 0, None
+
+    def count(self, X):
+        rows, planes, n = list(X), self.planes, self.n
+        x = sum(1 << a | 1 << a + n for a in rows)  # members are distinct
+        self.B = B = self.B ^ (x ^ (self.top or 0)) << self.offset
         planes[:] = [0] * len(rows).bit_length()
         cut = len(rows) & -4
         if cut:
             ones = twos = 0
-            for a, b, c, d in zip(rows[0:cut:4], rows[1:cut:4],
-                                  rows[2:cut:4], rows[3:cut:4]):
+            for a, b, c, d in zip(*[iter(rows[:cut])] * 4):
                 a, b = B >> a, B >> b
                 u = ones ^ a  # ones + a + b = ones' + 2 t
                 t = ones & a | u & b
@@ -82,15 +76,25 @@ def _column_counts(sets, n):
                 h = ones & a | u & b
                 ones = u ^ b
                 u = twos ^ t  # twos + t + h = twos' + 2 fours
-                _ripple(planes, 2, twos & t | u & h)
+                _ripple(planes, 2, twos & t | u & h)  # |X| >= 4: d >= 3
                 twos = u ^ h
             planes[0], planes[1] = ones, twos
             del a, b, u, t, h  # not held while the next masks are made
         for y in rows[cut:]:
             _ripple(planes, 0, B >> y)
-        if j:  # only now: the caller holds the last masks while j counts
-            below, own = below | own, own << 2 * n
-        yield planes, own, below
+        if self.top is None and self.offset:  # pushed since the last count
+            self.below, self.own = self.below | self.own, self.own << 2 * n
+        self.top = x
+        return planes, self.own, self.below
+
+    def push(self):
+        if self.top is None:
+            raise ValueError("push() needs a count() since the last push")
+        self.top, self.offset = None, self.offset + 2 * self.n
+
+    def first(self, bits):
+        """(i, tau) of the lowest set bit of bits, a count of block i."""
+        return divmod((bits & -bits).bit_length() - 1, 2 * self.n)
 
 
 def _ripple(planes, k, carry):
@@ -113,11 +117,6 @@ def _peak(planes, mask):
         if hit:
             mask, value = hit, value | 1 << k
     return value, mask
-
-
-def _first(bits, n):
-    """(i, tau) of the lowest set bit of bits, a count of block i."""
-    return divmod((bits & -bits).bit_length() - 1, 2 * n)
 
 
 def _nonzero(U):
@@ -258,17 +257,17 @@ def _orbit_sweep(code):
     """The minimum distance and the stabiliser order of each orbit.
 
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
-    sweep of alpha against fixed representatives is exact.  One pass of
-    _column_counts gives c[a] = |U_i ∩ omega^a U_j| - 1 for every orbit
-    pair i <= j.  In column j's own mask a = 0 holds the largest count,
-    |U_j| - 1, so its peak is U_j's stabiliser, left out of the distance.
-    The rest of own and all of below are walked peak by peak from the top:
-    each count must be q^e - 1 for some e, a subspace's size less zero.
+    sweep of alpha against fixed representatives is exact.  A _BlockStack
+    counts and pushes each U_j: c[a] = |U_i ∩ omega^a U_j| - 1, i <= j.  Its
+    own mask's peak, |U_j| - 1 at a = 0, is U_j's stabiliser, left out of
+    the distance.  The rest of own and all of below are walked peak by peak
+    from the top: each count must be q^e - 1, a subspace's size less zero.
     """
-    reps = code.representatives
     q, N, k = code.ground_q, code.field.N, code.dim
-    most, orders = -1, []  # most: max dim(U_i ∩ omega^a U_j)
-    for planes, own, below in _column_counts(map(_nonzero, reps), N):
+    most, orders, stack = -1, [], _BlockStack(N)  # most: max dim(U ∩ a V)
+    for U in code.representatives:
+        planes, own, below = stack.count(_nonzero(U))
+        stack.push()
         _, stab = _peak(planes, own)
         orders.append(stab.bit_count())
         region = below | own ^ stab  # stab lies in own

@@ -1,18 +1,19 @@
 """Index sets, correlation maxima, field-side conditions, bounds, pipeline."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
-from oocgen import (IndexSet, OocCode, OocError, build_ooc, construct_g,
-                    field_create, johnson_bound, optimality_ratio,
+from oocgen import (IndexSet, OocCode, OocError, build_coset_family, build_ooc,
+                    construct_g, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, verify_oos)
 from oocgen import field, ooc, subspaces
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _column_counts, _first, _peak
+from oocgen.subspaces import _BlockStack, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
                       shift, strictly_increasing)
@@ -160,24 +161,35 @@ def test_shift_matches_field_scaling():
 # ---------------------------------------------------------------------------
 
 # The correlation maxima are read off the kernel's planes directly:
-# |X ∩ (X + tau)| for 0 < tau < n from the own mask of the column of [X]
-# less its lowest bit (tau = 0), and |X ∩ (Y + tau)| for 0 <= tau < n from
-# the below mask of the column [X, Y], each with the lowest tau that
-# reaches it (None for an empty mask).
+# |X ∩ (X + tau)| for 0 < tau < n from the own mask of X counted on an
+# empty stack, less its lowest bit (tau = 0), and |X ∩ (Y + tau)| for
+# 0 <= tau < n from the below mask of Y counted on the stack [X], each
+# with the lowest tau that reaches it (None for an empty mask).
 
-def _lowest_peak(planes, mask, n):
+def _stacked(sets, n):
+    """A block stack of modulus n with each of sets counted and pushed."""
+    stack = _BlockStack(n)
+    for X in sets:
+        stack.count(X)
+        stack.push()
+    return stack
+
+
+def _lowest_peak(stack, planes, mask):
     v, bits = _peak(planes, mask)
-    return v, _first(bits, n)[1] if bits else None
+    return v, stack.first(bits)[1] if bits else None
 
 
 def _auto_peak(X):
-    (planes, own, _), = _column_counts([X.members], X.n)
-    return _lowest_peak(planes, own & own - 1, X.n)
+    stack = _BlockStack(X.n)
+    planes, own, _ = stack.count(X.members)
+    return _lowest_peak(stack, planes, own & own - 1)
 
 
 def _cross_peak(X, Y):
-    _, (planes, _, below) = _column_counts([X.members, Y.members], X.n)
-    return _lowest_peak(planes, below, X.n)
+    stack = _stacked([X.members], X.n)
+    planes, _, below = stack.count(Y.members)
+    return _lowest_peak(stack, planes, below)
 
 
 def test_autocorr_singleton():
@@ -248,9 +260,9 @@ def _plane_counts(planes, mask):
 
 
 def _counts(X, Y, n):
-    """c[tau] = |X ∩ (Y + tau)| from the kernel: the below mask of column
-    [X, Y]."""
-    _, (planes, _, below) = _column_counts([X, Y], n)
+    """c[tau] = |X ∩ (Y + tau)| from the kernel: the below mask of Y
+    counted on the stack [X]."""
+    planes, _, below = _stacked([X], n).count(Y)
     return _plane_counts(planes, below)
 
 
@@ -287,7 +299,7 @@ def _masked_pair(draw):
 def test_peak_matches_pair_loop(case):
     X, Y, n, mask = case
     c = pair_difference_counts(X, Y, n)
-    _, (planes, _, _) = _column_counts([X, Y], n)
+    planes, _, _ = _stacked([X], n).count(Y)
     assert len(planes) == len(Y).bit_length()  # [] for an empty Y
     masked = [t for t in range(n) if mask >> t & 1]
     best = max((c[t] for t in masked), default=0)
@@ -325,7 +337,7 @@ def test_column_counts_small_cases(X, Y, n):
 def test_column_counts_at_plane_count_boundaries(m, n):
     # a count of 255 fits eight planes, 256 needs nine; the counts of
     # negative differences wrap round to the top of c
-    (planes, own, _), = _column_counts([range(m)], n)
+    planes, own, _ = _BlockStack(n).count(range(m))
     assert len(planes) == m.bit_length()
     assert _plane_counts(planes, own) == _range_counts(m, n)
     assert _range_counts(m, n) == pair_difference_counts(range(m),
@@ -335,7 +347,7 @@ def test_column_counts_at_plane_count_boundaries(m, n):
 @pytest.mark.parametrize("m", [65535])
 def test_column_counts_at_sixteen_planes(m):
     # 65535 is the largest count sixteen planes hold
-    (planes, own, _), = _column_counts([range(m)], m + 1)
+    planes, own, _ = _BlockStack(m + 1).count(range(m))
     assert len(planes) == 16
     c = _plane_counts(planes, own)
     assert c == _range_counts(m, m + 1)
@@ -343,11 +355,14 @@ def test_column_counts_at_sixteen_planes(m):
 
 
 def _check_columns(sets, n):
-    """Every column of _column_counts against the bit oracle: block i of
-    column j holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length() planes;
-    block i is read through the own mask that column i yielded."""
-    owns = []
-    for j, (planes, own, _) in enumerate(_column_counts(sets, n)):
+    """Every set counted and pushed in turn against the bit oracle: block i
+    of set j's count holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length()
+    planes; block i is read through the own mask that set i's count
+    returned."""
+    stack, owns = _BlockStack(n), []
+    for j, X in enumerate(sets):
+        planes, own, _ = stack.count(X)
+        stack.push()
         owns.append(own)
         assert len(planes) == len(sets[j]).bit_length()
         yb = [1 if t in sets[j] else 0 for t in range(n)]
@@ -377,21 +392,97 @@ def test_column_counts_of_mixed_sizes_match_bit_oracle(case):
 @given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.frozensets(st.integers(0, n - 1), max_size=9), max_size=6))))
 def test_column_counts_yield_the_layout_masks(case):
-    # the layout contract: column j's counts against set i sit at bits
-    # [2n·i, 2n·i + n), own is block j's, below every earlier block's, and
-    # _first reads a count's bit back as (i, tau)
+    # the layout contract: set j's counts against stacked set i sit at
+    # bits [2n·i, 2n·i + n), own is block j's, below every stacked block's,
+    # and first reads a count's bit back as (i, tau)
     n, sets = case
-    earlier, columns = 0, 0
-    for j, (_, own, below) in enumerate(_column_counts(sets, n)):
+    stack, earlier = _BlockStack(n), 0
+    for j, X in enumerate(sets):
+        _, own, below = stack.count(X)
+        stack.push()
         assert own == ((1 << n) - 1) << 2 * n * j
         assert below == earlier
         earlier |= own
-        columns += 1
         for tau in range(n):
             bit = 1 << 2 * n * j + tau
-            assert _first(bit, n) == (j, tau)
-            assert _first(bit | own << n, n) == (j, tau)  # the lowest bit
-    assert columns == len(sets)
+            assert stack.first(bit) == (j, tau)
+            assert stack.first(bit | own << n) == (j, tau)  # the lowest bit
+    # every set was stacked once: the next count is laid out as block m
+    _, own, below = stack.count(())
+    assert own == ((1 << n) - 1) << 2 * n * len(sets) and below == earlier
+
+
+def _column(stack, X):
+    """stack.count(X) with its planes copied, since the next count reuses
+    the list."""
+    planes, own, below = stack.count(X)
+    return list(planes), own, below
+
+
+_stack_case = st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(st.frozensets(st.integers(0, n - 1), max_size=9),
+                           max_size=4)] * 2,
+    st.frozensets(st.integers(0, n - 1), max_size=9)))
+
+
+@given(_stack_case)
+def test_count_without_push_leaves_the_stack_as_it_was(case):
+    # counts that are never pushed leave no trace: the next count equals
+    # the same count on a stack built from the pushed sets alone
+    n, kept, dropped, Y = case
+    stack = _stacked(kept, n)
+    for X in dropped:
+        stack.count(X)
+    fresh = _stacked(kept, n)
+    assert _column(stack, Y) == _column(fresh, Y)
+    assert stack.B == fresh.B  # Y's block on top of the same stack
+
+
+@given(_stack_case)
+def test_pushing_only_passing_sets_equals_a_stack_of_them(case):
+    # a greedy search counts each candidate and pushes it only if no count
+    # against the kept sets or its own nonzero shifts exceeds 1; each kept
+    # count, and a last count of Y, equal those on a stack of kept sets only
+    n, first, rest, Y = case
+    stack, kept, columns = _BlockStack(n), [], []
+    for X in first + rest:
+        column = _column(stack, X)
+        planes, own, below = column
+        if _peak(planes, below | own & own - 1)[0] <= 1:
+            stack.push()
+            kept.append(X)
+            columns.append(column)
+    fresh = _BlockStack(n)
+    for X, column in zip(kept, columns):
+        assert _column(fresh, X) == column
+        fresh.push()
+    assert _column(stack, Y) == _column(fresh, Y)
+
+
+def test_one_planes_list_is_reused_across_counts():
+    # every count resets the same list in place, pushed or not, so a
+    # caller's reference to the last planes does not keep them alive
+    stack = _BlockStack(7)
+    planes, _, _ = stack.count([0, 1, 3])
+    assert stack.count([2, 5])[0] is planes
+    stack.push()
+    assert stack.count([0, 1, 4, 5, 6])[0] is planes
+    assert planes == _stacked([[2, 5]], 7).count([0, 1, 4, 5, 6])[0]
+
+
+def test_push_needs_a_count_since_the_last_push():
+    stack = _BlockStack(5)
+    with pytest.raises(ValueError, match="needs a count"):
+        stack.push()
+    stack.count([1, 2])
+    stack.push()
+    with pytest.raises(ValueError, match="needs a count"):
+        stack.push()
+    stack.count([])  # an empty set is a block too
+    stack.push()
+    assert stack.count([0])[1:] == (((1 << 5) - 1) << 20,
+                                    sum(((1 << 5) - 1) << 10 * i
+                                        for i in range(2)))
 
 
 @st.composite
@@ -536,12 +627,103 @@ def test_verify_oos_counts_without_difference_counts():
     for owner in (oocgen, field, field.ExtensionField):
         for name in ("FieldElement", "SubfieldEmbedding", "from_idx"):
             assert not hasattr(owner, name)
-    assert ooc._column_counts is subspaces._column_counts
+    assert ooc._BlockStack is subspaces._BlockStack
+    assert not hasattr(subspaces, "_column_counts")
+    assert not hasattr(subspaces, "_first")
     rng = random.Random(16)
     for n, w in [(2400, 49), (400, 100)]:  # sparse and dense families
         sets = [IndexSet(n, frozenset(rng.sample(range(n), w)))
                 for _ in range(3)]
         _assert_same_report_as_pair_loop(sets, w)
+
+
+def _words(q, k):
+    """G_{2k,1} and its coset family's words, each a sorted tuple."""
+    code = construct_g(q, k, 1)
+    return code, list(build_coset_family(code).cosets)
+
+
+def _block(planes, i, n):
+    """The planes of block i's counts, moved down to bits [0, n)."""
+    return [P >> 2 * n * i & (1 << n) - 1 for P in planes]
+
+
+def _plus_one(planes, low):
+    """The planes of each count plus one, at the bits of low."""
+    out, carry = [], low
+    for P in planes:
+        out.append(P ^ carry)
+        carry &= P
+    return out + [carry] if carry else out
+
+
+def _lemma_violations(code, words):
+    """The word pairs (i, j), i <= j, whose counts break the coset lemma.
+
+    Word i is the coset W_i = U_a + x of orbit a = i // t, with x outside
+    U_a, and X_j + tau is omega^tau W_j.  Two affine cosets meet in nothing
+    or in a coset of the intersection of their subspaces, so every count
+    |X_i ∩ (X_j + tau)| is 0 or |U_a ∩ omega^tau U_b| = 1 + D_ab[tau], with
+    D_ab[tau] = |U_a^* ∩ (U_b^* + tau)| counted on a stack of the orbits.
+    Where a = b and tau is a multiple of N/(q - 1), omega^tau W_j is a coset
+    of U_a, so the count is 0 except at tau = 0 of a word with itself.
+    """
+    n, q = code.field.N, code.ground_q
+    t, low = len(words) // len(code.representatives), (1 << n) - 1
+    stab = sum(1 << tau for tau in range(0, n, n // (q - 1)))
+    orbits, stack, bad = _BlockStack(n), _BlockStack(n), []
+    for b, U in enumerate(code.representatives):
+        planes, _, _ = orbits.count(subspaces._nonzero(U))
+        orbits.push()
+        lemma = [_plus_one(_block(planes, a, n), low) for a in range(b + 1)]
+        for j in range(b * t, (b + 1) * t):
+            planes, _, _ = stack.count(words[j])
+            stack.push()
+            for i in range(j + 1):
+                c, e = _block(planes, i, n), lemma[i // t]
+                nonzero = differ = 0
+                for k in range(max(len(c), len(e))):
+                    ck = c[k] if k < len(c) else 0
+                    nonzero |= ck
+                    differ |= ck ^ (e[k] if k < len(e) else 0)
+                if nonzero & differ or (
+                        i // t == b and nonzero & stab != int(i == j)):
+                    bad.append((i, j))
+    return bad
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (5, 2), (7, 2), (3, 3), (4, 3)])
+def test_word_counts_are_orbit_counts_plus_one_or_zero(q, k):
+    # the lemma certificate, count by count; one member of one word moved
+    # to a free position must break it
+    code, words = _words(q, k)
+    assert _lemma_violations(code, words) == []
+    n, word = code.field.N, words[-1]
+    free = next(a % n for a in range(word[-1] + 1, word[-1] + n)
+                if a % n not in word)
+    words[-1] = tuple(sorted(word[:-1] + (free,)))
+    assert _lemma_violations(code, words) != []
+
+
+def test_verify_oos_peak_memory_holds_one_word_stack():
+    # the stacked integer of all 40 words at (9,2) takes S = 2n·40 bits.
+    # verify_oos peaks at about 19 S: B, the shifted rows, the seven count
+    # planes, the adder temporaries and the masks, each of about S.  A
+    # second stacked integer kept alive while a word is counted adds S.
+    code, words = _words(9, 2)
+    sets = [s_of_w(code.field, W) for W in words]
+    S = 2 * code.field.N * len(sets) // 8
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert verify_oos(sets, 9).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 19.5 * S, (peak, S)
 
 
 # ---------------------------------------------------------------------------

@@ -245,45 +245,53 @@ def test_code_min_distance_vs_full_pair_sweep():
     assert code_min_distance(code) == oracle == 4
 
 
+def _stack_calls(monkeypatch, *modules):
+    """Make every block stack in modules record [counts, pushes] in the
+    returned list, one entry per stack made."""
+    calls = []
+
+    class Counting(subspaces._BlockStack):
+        def __init__(self, n):
+            super().__init__(n)
+            calls.append([0, 0])
+
+        def count(self, X):
+            calls[-1][0] += 1
+            return super().count(X)
+
+        def push(self):
+            calls[-1][1] += 1
+            super().push()
+
+    for module in modules:
+        monkeypatch.setattr(module, "_BlockStack", Counting)
+    return calls
+
+
 def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
                                                        pipeline_q3,
                                                        pipeline_q5):
-    # one kernel pass over the r representatives: column j holds the
-    # blocks i <= j, r(r + 1)/2 orbit pairs in all
-    calls = []
-    real = subspaces._column_counts
-
-    def counting(sets, n):
-        sets = list(sets)
-        calls.append(len(sets))
-        return real(sets, n)
-
-    monkeypatch.setattr(subspaces, "_column_counts", counting)
+    # one stack counts and pushes each of the r representatives once:
+    # U_j's count holds the blocks i <= j, r(r + 1)/2 orbit pairs in all
+    calls = _stack_calls(monkeypatch, subspaces)
     for code in (pipeline_q3[0], pipeline_q5[0]):
         d = code.min_distance
         calls.clear()
         assert code_min_distance(code) == d
-        assert calls == [len(code.representatives)]  # r = 1, then r = 2
+        r = len(code.representatives)
+        assert calls == [[r, r]]  # r = 1, then r = 2
 
 
 def test_construct_sweeps_orbit_pairs_once(monkeypatch):
     # the distance is counted once per code: build_ooc and the coset
     # family's disjointness check read it, and verify_oos counts the words
-    calls = []
-    real = subspaces._column_counts
-
-    def counting(sets, n):
-        sets = list(sets)
-        calls.append(len(sets))
-        return real(sets, n)
-
-    monkeypatch.setattr(subspaces, "_column_counts", counting)
-    monkeypatch.setattr(ooc, "_column_counts", counting)
+    calls = _stack_calls(monkeypatch, subspaces, ooc)
     code = construct_g(7, 2, 1)
     _, params, _ = build_ooc(code)
-    assert calls == [3, 24]  # r = 3 orbits, then r * t = 24 words
+    # r = 3 orbits, then r * t = 24 words
+    assert calls == [[3, 3], [24, 24]]
     assert params.lam == 7 ** (2 - code.min_distance // 2)
-    assert code.orbits_disjoint() and calls == [3, 24]
+    assert code.orbits_disjoint() and calls == [[3, 3], [24, 24]]
 
 
 def test_min_distance_single_subspace_rejected():
