@@ -6,8 +6,6 @@ self-verifies before writing any file, and writes its four files under
 temporary names first, so they appear all or none.
 """
 
-from __future__ import annotations
-
 import contextlib
 import json
 import os

@@ -28,8 +28,6 @@ All choices (modulus, omega) are canonical, so two fields built from the
 same (p, e, modulus) are bit-identical.
 """
 
-from __future__ import annotations
-
 import itertools
 from array import array
 

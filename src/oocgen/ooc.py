@@ -8,8 +8,6 @@ subspaces._BlockStack, the one counting kernel, gives every count
 |X_i ∩ (X_j + tau)|, read through its masks own (i = j) and below (i < j).
 """
 
-from __future__ import annotations
-
 import json
 
 from .subspaces import (_BlockStack, _peak, build_coset_family,

@@ -12,8 +12,6 @@ its planes through a mask.  On an orbit's own mask, the positions whose count
 is the whole subspace are its stabiliser, so one pass also tells a short orbit.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 
@@ -23,13 +21,6 @@ from .field import (factor_prime_power, field_from_descriptor,
 
 class SubspaceError(ValueError):
     """Invalid subspace or code input."""
-
-
-def _log_exact(size, q):
-    d = round(math.log(size, q))
-    if q ** d != size:
-        raise SubspaceError(f"set of size {size} is not F_{q}-subspace sized")
-    return d
 
 
 class _BlockStack:
@@ -261,9 +252,11 @@ def _orbit_sweep(code):
     counts and pushes each U_j: c[a] = |U_i ∩ omega^a U_j| - 1, i <= j.  Its
     own mask's peak, |U_j| - 1 at a = 0, is U_j's stabiliser, left out of
     the distance.  The rest of own and all of below are walked peak by peak
-    from the top: each count must be q^e - 1, a subspace's size less zero.
+    from the top: each count must be q^e - 1, a subspace's size less zero,
+    looked up among the exact sizes q^0..q^k.
     """
     q, N, k = code.ground_q, code.field.N, code.dim
+    dims = {q ** e: e for e in range(k + 1)}
     most, orders, stack = -1, [], _BlockStack(N)  # most: max dim(U ∩ a V)
     for U in code.representatives:
         planes, own, below = stack.count(_nonzero(U))
@@ -273,7 +266,10 @@ def _orbit_sweep(code):
         region = below | own ^ stab  # stab lies in own
         while region:
             v, bits = _peak(planes, region)
-            most = max(most, _log_exact(1 + v, q))
+            if 1 + v not in dims:
+                raise SubspaceError(f"set of size {1 + v} is not "
+                                    f"F_{q}-subspace sized")
+            most = max(most, dims[1 + v])
             region ^= bits  # bits lie in region
     if most < 0:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
@@ -355,18 +351,21 @@ def construct_g(q, k, s):
 # ---------------------------------------------------------------------------
 
 def _coset_scan(U):
-    """Yield (a, log indices of omega^a + U) for each coset representative
-    omega^a of F_{q^m}/U: the uncovered a in ascending order, t of them.
+    """Yield the log indices of omega^a + U, as a strictly increasing tuple,
+    for each coset representative omega^a of F_{q^m}/U: the uncovered a in
+    ascending order, t of them.  a leads its tuple.
 
     omega^a + U is a and a + zech[u - a] for the nonzero span indices u.
     U is F_q-linear, so lam(omega^a + U) = lam omega^a + U: shifting the
     coset by each log index of F_q^* marks every F_q-multiple covered.
+    The F_q^*-classes of cosets partition the field outside U, so no member
+    of a new class is covered: a, the least uncovered index, is the least
+    member of its coset.
     """
     f, q, N = U.field, U.ground_q, U.field.N
-    m = _log_exact(f.order, q)
-    if U.dim >= m:
+    if len(U.span_idx) >= f.order:
         raise SubspaceError("U must be a proper subspace")
-    t = (q ** (m - U.dim) - 1) // (q - 1)
+    t = (f.order // len(U.span_idx) - 1) // (q - 1)
     span_nz = _nonzero(U)
     units = range(0, N, f.subfield_stride(q))  # the log indices of F_q^*
     zech = f.zech
@@ -380,8 +379,8 @@ def _coset_scan(U):
         z = [zech[i - a] for i in span_nz]  # i - a < 0 indexes from the end
         if -1 in z:
             raise SubspaceError("a coset representative lies in U")
-        coset = [a] + [(a + j) % N for j in z]
-        yield a, coset
+        coset = tuple(sorted([a] + [(a + j) % N for j in z]))
+        yield coset
         found += 1
         if found == t:
             return
@@ -394,14 +393,15 @@ def _coset_scan(U):
 def coset_representatives(U):
     """Log indices a of pairwise non-F_q-proportional representatives omega^a
     of F_{q^m}/U, from the covering scan: exactly t = (q^{m-k} - 1)/(q - 1),
-    none in U, no two differing by an F_q-multiple modulo U."""
-    return [a for a, _ in _coset_scan(U)]
+    none in U, no two differing by an F_q-multiple modulo U.  Each is the
+    first member of its coset's tuple."""
+    return [coset[0] for coset in _coset_scan(U)]
 
 
 class CosetFamily:
     """The affine family {U_i + omega^a}: each coset W^* as the strictly
-    increasing tuple of its log indices, grouped by U_i in order, each
-    group in scan order."""
+    increasing tuple of its log indices, led by its representative a, so
+    the family is ordered by U_i and then by least member."""
 
     __slots__ = ("cosets",)
 
@@ -411,7 +411,8 @@ class CosetFamily:
 
 def build_coset_family(code):
     """The cosets U_i + omega^a of every representative U_i, each a from
-    one log-domain covering scan, as sorted tuples of log indices.
+    one log-domain covering scan, as the scan's strictly increasing tuples
+    of log indices, each led by its a.
 
     The orbits must be disjoint and full-length: each U_i stabilised by
     F_q^* alone.  A larger stabiliser would make two cosets of one orbit
@@ -426,6 +427,5 @@ def build_coset_family(code):
             raise SubspaceError(f"orbit {j} is short: stabiliser of order "
                                 f"{order}, the construction needs "
                                 f"q - 1 = {q - 1}")
-    return CosetFamily(tuple(tuple(sorted(coset))
-                             for U in code.representatives
-                             for _, coset in _coset_scan(U)))
+    return CosetFamily(tuple(coset for U in code.representatives
+                             for coset in _coset_scan(U)))

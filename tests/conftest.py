@@ -5,6 +5,8 @@ check, so their checkers live here rather than in the library: is_sidon,
 is_multi_sidon and orbit_size count on the pair loop,
 check_field_conditions multiplies on the polynomial route, and
 norm_conditions checks the premises of G_{2k,s} in index arithmetic.
+coset_word_ok and orbit_words_cover_once are the orbit route's checks (a)
+and (b) on a coset family, by field addition, apart from the covering scan.
 """
 
 import functools
@@ -108,12 +110,14 @@ def log_of(f, c):
     return poly_exp_table(f)[1][c]
 
 
+def log_minus_one(f):
+    """log(-1): -1 = omega^(N/2) for odd p, and -1 = 1 in characteristic 2."""
+    return 0 if f.p == 2 else f.N // 2
+
+
 def neg(f, x):
-    """-x.  For odd p, -1 = omega^(N/2), so negation adds N/2 to the index;
-    in characteristic 2, -x = x."""
-    if x < 0 or f.p == 2:
-        return x
-    return (x + f.N // 2) % f.N
+    """-x: negation adds log(-1) to the index."""
+    return x if x < 0 else (x + log_minus_one(f)) % f.N
 
 
 def sub(f, x, y):
@@ -389,6 +393,29 @@ def field_coset_family(code):
         for a in greedy_coset_representatives(U):
             cosets.append(frozenset(U.field.add(u, a) for u in U.span_idx))
     return CosetFamily(tuple(cosets))
+
+
+def coset_word_ok(U, word, minus_one):
+    """Check (a) of the orbit route: word is the coset x0 + U of its first
+    member x0.  It has q^k members in Z_N, none of them zero, and
+    {log(y - x0) : y != x0} is exactly U's nonzero log set, each difference
+    taken as y + omega^minus_one x0, minus_one being log(-1)."""
+    f = U.field
+    x0 = word[0]
+    diffs = {f.add(y, (x0 + minus_one) % f.N) for y in word[1:]}
+    return (len(word) == U.ground_q ** U.dim
+            and all(0 <= y < f.N for y in word)
+            and diffs == U.span_idx - {-1})
+
+
+def orbit_words_cover_once(U, words):
+    """Check (b) of the orbit route: U^* and the F_q^*-shifts of the orbit's
+    words cover Z_N exactly once."""
+    f = U.field
+    units = range(0, f.N, f.subfield_stride(U.ground_q))
+    marked = [x for x in U.span_idx if x >= 0]
+    marked += [(x + s) % f.N for word in words for x in word for s in units]
+    return sorted(marked) == list(range(f.N))
 
 
 def w_and_xi(f, q, k):

@@ -14,7 +14,8 @@ import oocgen
 from test_golden import ARTEFACTS, GOLDEN
 
 SRC = pathlib.Path(oocgen.__file__).parent
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 PIPELINES = PERFBENCH / "pipelines.py"
 
 
@@ -98,6 +99,26 @@ def test_bound_with_n_below_2w_refuses_a_huge_lambda_at_once():
     assert run.returncode == 2
     assert run.stdout == ""
     assert "lambda = 999999998 steps" in run.stderr
+
+
+def test_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
+    # under the project's warning filters a failing @given test must fail
+    # as a test, not end the session with INTERNALERROR before the rest run
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_probe.py"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
 def test_no_assert_statements_in_package():

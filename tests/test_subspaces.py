@@ -4,6 +4,7 @@ The Sidon, multi-Sidon and orbit checks are the pair-loop helpers in
 conftest; the library's own sweep is code_min_distance.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,13 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
                     build_ooc, code_min_distance, construct_g, construct_w,
                     coset_representatives, field_create, span)
-from oocgen import ooc, subspaces
-from oocgen.subspaces import Subspace, _log_exact
-from conftest import (canonical_sidon_f64, code_size, field_coset_family,
-                      gaussian_binomial, greedy_coset_representatives,
-                      is_multi_sidon, is_sidon, log_of, norm_conditions,
-                      orbit_size, neg, rank_dim_intersection, scaled,
-                      strictly_increasing, sub, w_and_xi)
+from oocgen import ooc, s_of_w, subspaces, verify_oos
+from oocgen.subspaces import Subspace
+from conftest import (canonical_sidon_f64, code_size, coset_word_ok,
+                      field_coset_family, gaussian_binomial,
+                      greedy_coset_representatives, is_multi_sidon,
+                      is_sidon, log_minus_one, log_of, norm_conditions,
+                      orbit_size, orbit_words_cover_once, neg,
+                      rank_dim_intersection, scaled, strictly_increasing, sub,
+                      w_and_xi)
 
 
 F81 = field_create(3, 4)
@@ -62,7 +65,8 @@ def test_span_reduces_dependent_input():
 # below; it must agree with the intersection of the cached spans
 
 def _span_dim_intersection(U, V):
-    return _log_exact(len(U.span_idx & V.span_idx), U.ground_q)
+    dims = {U.ground_q ** d: d for d in range(U.dim + 1)}
+    return dims[len(U.span_idx & V.span_idx)]
 
 
 def test_dim_intersection_subfield_vs_scaled():
@@ -77,12 +81,6 @@ def test_dim_intersection_random_vs_rank_oracle():
         U = span(F81, rng.sample(range(80), 2), 3)
         V = span(F81, rng.sample(range(80), 2), 3)
         assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
-
-
-def test_log_exact_rejects_non_power():
-    assert _log_exact(27, 3) == 3
-    with pytest.raises(SubspaceError):
-        _log_exact(10, 3)
 
 
 def test_mismatched_fields_rejected():
@@ -198,7 +196,7 @@ def _equal_dim_subspaces(draw):
     F_{q^d}-subspace of the field for a d that divides the dimension, so
     d > 1 gives a short orbit, stabilised by F_{q^d}^* at least."""
     q, f = draw(st.sampled_from(STABILISER_FIELDS))
-    m = _log_exact(f.order, q)
+    m = next(m for m in range(1, f.e + 1) if q ** m == f.order)
     dim = draw(st.integers(1, m - 1))
     reps = []
     for _ in range(draw(st.integers(1, 3))):
@@ -449,6 +447,13 @@ def test_coset_representatives_q3(pipeline_q3):
         assert d not in U.span_idx
 
 
+def test_coset_representatives_refuses_the_whole_field():
+    U = span(F81, range(80), 3)
+    assert len(U.span_idx) == 81
+    with pytest.raises(SubspaceError, match="U must be a proper subspace"):
+        coset_representatives(U)
+
+
 def test_coset_representatives_hyperplane():
     f16 = field_create(2, 4)
     U = span(f16, [0, 1, 2], 2)
@@ -518,16 +523,65 @@ def test_coset_family_scalings_partition_nonzero_field(case):
     # U^* and lam*(U + d) for every representative d and lam in F_q^* are
     # pairwise disjoint and cover F^* exactly
     for code in _family_codes(case):
-        f, q = code.field, code.ground_q
-        units = range(0, f.N, f.subfield_stride(q))
         fam = build_coset_family(code)
         # the cosets come grouped by representative, t to a group
         t = len(fam.cosets) // len(code.representatives)
         for i, U in enumerate(code.representatives):
-            marked = [x for x in U.span_idx if x >= 0]
-            marked += [(x + s) % f.N for coset in fam.cosets[i * t:(i + 1) * t]
-                       for x in coset for s in units]
-            assert sorted(marked) == list(range(f.N))
+            assert orbit_words_cover_once(U, fam.cosets[i * t:(i + 1) * t])
+
+
+G_CODES = [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (3, 3), (4, 3)]
+
+
+@functools.cache
+def _g_orbits(q, k):
+    """construct_g(q, k, 1), and each representative with its t family
+    words, in family order."""
+    code = construct_g(q, k, 1)
+    words = build_coset_family(code).cosets
+    t = len(words) // len(code.representatives)
+    return code, [(U, words[i * t:(i + 1) * t])
+                  for i, U in enumerate(code.representatives)]
+
+
+@pytest.mark.parametrize("q,k", G_CODES)
+def test_coset_representatives_lead_their_family_words(q, k):
+    # the scan's next representative is the least uncovered index, and no
+    # member of a new coset was covered, so it is its coset's least member
+    _, orbits = _g_orbits(q, k)
+    for U, words in orbits:
+        reps = coset_representatives(U)
+        assert reps == [W[0] for W in words]
+        assert reps == greedy_coset_representatives(U)
+
+
+@pytest.mark.parametrize("q,k", G_CODES)
+def test_orbit_checks_agree_with_the_word_sweep(q, k):
+    # checks (a) and (b) with the orbit sweep bound every word correlation
+    # by lambda; verify_oos sweeps every word pair: both verdicts pass
+    code, orbits = _g_orbits(q, k)
+    f = code.field
+    neg1 = log_minus_one(f)
+    for U, words in orbits:
+        assert all(coset_word_ok(U, W, neg1) for W in words)
+        assert orbit_words_cover_once(U, words)
+    lam = q ** (k - code.min_distance // 2)
+    sets = [s_of_w(f, W) for _, words in orbits for W in words]
+    assert verify_oos(sets, lam).passed
+    # one member moved off its coset fails (a); a second copy of one word
+    # in place of another is still a coset but covers twice, failing (b)
+    U, words = orbits[0]
+    W = words[0]
+    off = next(x for x in range(f.N) if x not in W)
+    assert not coset_word_ok(U, tuple(sorted(W[:-1] + (off,))), neg1)
+    copied = (words[1],) + words[1:]
+    assert all(coset_word_ok(U, V, neg1) for V in copied)
+    assert not orbit_words_cover_once(U, copied)
+    # log(-1) shifted by the log of a unit g != 1 of F_q takes y - g x0 for
+    # y - x0, and y - g x0 = (1 - g) x0 + u lies outside U for x0 outside U,
+    # so (a) fails at every word
+    wrong = (neg1 + f.subfield_stride(q)) % f.N
+    assert not any(coset_word_ok(U, V, wrong) for V in words)
 
 
 def test_coset_family_q3(pipeline_q3):
