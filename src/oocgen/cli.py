@@ -3,7 +3,9 @@
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
 data errors and on running out of memory.  Every construct run
 self-verifies before writing any file, and writes its four files under
-temporary names first, so they appear all or none.
+temporary names first, so they appear all or none.  Each command imports
+only the layers it runs, so verify and bound load neither the field nor the
+subspace layer.
 """
 
 import contextlib
@@ -11,11 +13,9 @@ import json
 import os
 import sys
 
-from .field import field_for_prime_power
 from .ooc import (OocError, VerificationError, build_ooc, johnson_bound,
                   oos_from_dict, oos_to_dict, optimality_ratio, params_table,
                   read_ooc_text, verify_oos, write_json, write_ooc_text)
-from .subspaces import code_from_dict, construct_g
 
 
 def _write_all(prefix, writes):
@@ -44,6 +44,7 @@ def _read_json(path):
 
 
 def _cmd_construct(args):
+    from .subspaces import code_from_dict, construct_g
     if args.code:
         given = [f"--{o}" for o in "qks" if getattr(args, o) is not None]
         if given:
@@ -133,6 +134,7 @@ def _cmd_table(args):
 
 
 def _cmd_field_info(args):
+    from .field import field_for_prime_power
     fld = field_for_prime_power(args.q, args.m)
     info = fld.descriptor()
     info["N"] = fld.N

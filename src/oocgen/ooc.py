@@ -4,14 +4,15 @@ The translation layer takes each field subset W^* as its log indices, S(W).
 A codeword is its support, an IndexSet: its members as a strictly increasing
 tuple, since every reader scans them in order and none tests membership; the
 binary word is only how the bits file prints it.  Correlation maxima are exact:
-subspaces._BlockStack, the one counting kernel, gives every count
+kernel._BlockStack, the one counting kernel, gives every count
 |X_i ∩ (X_j + tau)|, read through its masks own (i = j) and below (i < j).
+The subspace layer is imported only by build_ooc and params_table, so
+reading and verifying a file loads neither it nor the field layer.
 """
 
 import json
 
-from .subspaces import (_BlockStack, _peak, build_coset_family,
-                        check_g_params)
+from .kernel import _BlockStack, _peak
 
 
 class OocError(ValueError):
@@ -250,6 +251,7 @@ def build_ooc(code):
     Declares n = q^m - 1, w = q^k, lam = q^(k - d/2) and size r*t, runs the
     full brute-force verification, and raises VerificationError on failure.
     """
+    from .subspaces import build_coset_family
     d = code.min_distance
     fld, q, k = code.field, code.ground_q, code.dim
     family = build_coset_family(code)
@@ -273,6 +275,7 @@ def params_table(specs):
     count and the weight column is q^k.  Specs outside construct_g's
     domain are rejected.
     """
+    from .subspaces import check_g_params
     rows = []
     for q, k in specs:
         check_g_params(q, k)

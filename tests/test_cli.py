@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oocgen import cli, ooc
+from oocgen import cli, field, ooc
 from oocgen.cli import main
 from conftest import bit_level_ooc_ok, canonical_sidon_f64, poly_exp_table
 from oocgen import (CyclicSubspaceCode, code_from_dict, construct_g,
@@ -530,7 +530,8 @@ def test_table_command(capsys):
 def test_out_of_memory_is_data_error(monkeypatch, capsys):
     def exhausted(q, m):
         raise MemoryError
-    monkeypatch.setattr(cli, "field_for_prime_power", exhausted)
+    # field-info imports field_for_prime_power from oocgen.field when it runs
+    monkeypatch.setattr(field, "field_for_prime_power", exhausted)
     assert main(["field-info", "--q", "3", "--m", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,9 +11,9 @@ import oocgen
 from oocgen import (IndexSet, OocCode, OocError, build_coset_family, build_ooc,
                     construct_g, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, verify_oos)
-from oocgen import field, ooc, subspaces
+from oocgen import field, kernel, ooc, subspaces
+from oocgen.kernel import _BlockStack, _peak
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
-from oocgen.subspaces import _BlockStack, _peak
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
                       shift, strictly_increasing)
@@ -627,7 +627,7 @@ def test_verify_oos_counts_without_difference_counts():
     for owner in (oocgen, field, field.ExtensionField):
         for name in ("FieldElement", "SubfieldEmbedding", "from_idx"):
             assert not hasattr(owner, name)
-    assert ooc._BlockStack is subspaces._BlockStack
+    assert ooc._BlockStack is subspaces._BlockStack is kernel._BlockStack
     assert not hasattr(subspaces, "_column_counts")
     assert not hasattr(subspaces, "_first")
     rng = random.Random(16)

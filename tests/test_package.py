@@ -50,6 +50,93 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     assert out.stdout.strip() == "[]"
 
 
+def _loads(code, *argv):
+    """Run code in a fresh interpreter, with `before` the modules loaded at
+    its start, and return the `out` it sets."""
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; before = set(sys.modules)\n" + code +
+         "\nprint(json.dumps(out))", *argv],
+        env=_env(), capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def test_bare_import_loads_no_submodule():
+    # the package resolves its names on first use, so importing it compiles
+    # one small file and none of the layers, nor json or array
+    out = _loads("import oocgen\n"
+                 "new = set(sys.modules) - before\n"
+                 "out = [sorted(m for m in new if m.startswith('oocgen')),\n"
+                 "       sorted(new & {'json', 'array'})]")
+    assert out == [["oocgen"], []]
+
+
+@pytest.mark.parametrize("argv", [["verify", "tiny.ooc"],
+                                  ["bound", "63", "8", "2"]])
+def test_verify_and_bound_load_no_field_or_subspaces(tmp_path, argv):
+    # checking a file needs the OOC layer and its counting kernel only
+    (tmp_path / "tiny.ooc").write_text("# n=7 w=3 lambda=1 size=1\n"
+                                       "1101000\n")
+    out = _loads("import contextlib, io\n"
+                 "from oocgen import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(sys.argv[1:])\n"
+                 "out = [code, sorted(m for m in sys.modules\n"
+                 "                    if m.startswith('oocgen'))]",
+                 *[str(tmp_path / a) if a.endswith(".ooc") else a
+                   for a in argv])
+    assert out == [0, ["oocgen", "oocgen.cli", "oocgen.kernel",
+                       "oocgen.ooc"]]
+
+
+def test_public_names_are_the_layers_own_objects():
+    # each name of __all__, looked up lazily in a fresh interpreter, is the
+    # object its defining layer holds, and dir() lists it
+    out = _loads(
+        "import oocgen\n"
+        "out = {}\n"
+        "for name in oocgen.__all__:\n"
+        "    obj = getattr(oocgen, name)\n"
+        "    home = obj.__module__\n"
+        "    out[name] = [home, obj is getattr(sys.modules[home], name),\n"
+        "                 name in dir(oocgen)]")
+    assert sorted(out) == sorted([
+        "ExtensionField", "FieldError", "field_create",
+        "field_from_descriptor", "field_for_prime_power",
+        "factor_prime_power", "CosetFamily", "CyclicSubspaceCode",
+        "Subspace", "SubspaceError", "build_coset_family", "code_from_dict",
+        "code_min_distance", "construct_g", "construct_w",
+        "coset_representatives", "span", "subspace_to_dict", "IndexSet",
+        "OocCode", "OocError", "OocParams", "VerificationError",
+        "VerificationReport", "build_ooc", "johnson_bound",
+        "optimality_ratio", "params_table", "s_of_w", "verify_oos"])
+    for name, (module, same, listed) in out.items():
+        assert module in ("oocgen.field", "oocgen.subspaces", "oocgen.ooc")
+        assert same and listed, name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    out = _loads("import oocgen\n"
+                 "out = [getattr(oocgen, m).__name__ for m in\n"
+                 "       ('field', 'subspaces', 'ooc', 'cli')]")
+    assert out == ["oocgen.field", "oocgen.subspaces", "oocgen.ooc",
+                   "oocgen.cli"]
+
+
+def test_unknown_name_is_an_attribute_error_that_loads_nothing():
+    out = _loads("import oocgen\n"
+                 "try:\n"
+                 "    oocgen.difference_counts\n"
+                 "    error = None\n"
+                 "except AttributeError as exc:\n"
+                 "    error = str(exc)\n"
+                 "out = [error, hasattr(oocgen, 'difference_counts'),\n"
+                 "       sorted(m for m in sys.modules\n"
+                 "              if m.startswith('oocgen'))]")
+    assert out == ["module 'oocgen' has no attribute 'difference_counts'",
+                   False, ["oocgen"]]
+
+
 def test_cli_under_python_O_writes_golden_files(tmp_path):
     # python -O strips assert; the construct and verify runs must not
     # depend on one
