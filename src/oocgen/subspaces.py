@@ -267,49 +267,45 @@ def construct_g(q, k, s):
 
 def _coset_scan(U):
     """Yield the log indices of omega^a + U, as a strictly increasing tuple,
-    for each coset representative omega^a of F_{q^m}/U: the uncovered a in
-    ascending order, t of them.  a leads its tuple.
+    for each coset representative omega^a of F_{q^m}/U: t of them, a
+    ascending.  a leads its tuple.
 
     omega^a + U is a and a + zech[u - a] for the nonzero span indices u.
-    U is F_q-linear, so lam(omega^a + U) = lam omega^a + U: shifting the
-    coset by each log index of F_q^* marks every F_q-multiple covered.
-    The F_q^*-classes of cosets partition the field outside U, so no member
-    of a new class is covered: a, the least uncovered index, is the least
-    member of its coset.
+    The log indices of F_q^* are the multiples of g = N/(q - 1), so an
+    F_q^*-class of nonzero elements is a residue modulo g, and an F_q-linear
+    U^* is a union of whole classes: U is refused unless its marked residues
+    times q - 1 equal |U| - 1.  lam(omega^a + U) = lam omega^a + U, so marking
+    a coset's residues marks every F_q-multiple of it, and the classes of
+    cosets partition the field outside U.  The next a is the least unmarked
+    residue: it is below g, each member of its coset lies in an unmarked
+    class, so a is the coset's least member, and -omega^a is not in U.
     """
     f, q, N = U.field, U.ground_q, U.field.N
     if len(U.span_idx) >= f.order:
         raise SubspaceError("U must be a proper subspace")
     t = (f.order // len(U.span_idx) - 1) // (q - 1)
-    span_nz = _nonzero(U)
-    units = range(0, N, f.subfield_stride(q))  # the log indices of F_q^*
-    zech = f.zech
-    covered = bytearray(N)
+    g, zech, span_nz = f.subfield_stride(q), f.zech, _nonzero(U)
+    covered = bytearray(g)
     for i in span_nz:
-        covered[i] = 1
-    found = 0
-    for a in range(N):
-        if covered[a]:
-            continue
-        z = [zech[i - a] for i in span_nz]  # i - a < 0 indexes from the end
-        if -1 in z:
-            raise SubspaceError("a coset representative lies in U")
-        coset = tuple(sorted([a] + [(a + j) % N for j in z]))
+        covered[i % g] = 1
+    if covered.count(1) * (q - 1) != len(U.span_idx) - 1:
+        raise SubspaceError(f"U is not F_{q}-closed: it must hold 0 and "
+                            f"whole F_{q}^*-classes")
+    a = -1
+    for _ in range(t):  # each coset marks q^k of t q^k unmarked residues
+        a = covered.find(0, a + 1)
+        coset = tuple(sorted([a] + [(a + zech[i - a]) % N for i in span_nz]))
         yield coset
-        found += 1
-        if found == t:
-            return
-        for s in units:
-            for j in coset:
-                covered[(j + s) % N] = 1
-    raise SubspaceError(f"expected {t} coset representatives, got {found}")
+        for j in coset:
+            covered[j % g] = 1
 
 
 def coset_representatives(U):
     """Log indices a of pairwise non-F_q-proportional representatives omega^a
-    of F_{q^m}/U, from the covering scan: exactly t = (q^{m-k} - 1)/(q - 1),
-    none in U, no two differing by an F_q-multiple modulo U.  Each is the
-    first member of its coset's tuple."""
+    of F_{q^m}/U, from the class-marking scan: exactly
+    t = (q^{m-k} - 1)/(q - 1), none in U, no two differing by an
+    F_q-multiple modulo U, each below N/(q - 1) and the first member of its
+    coset's tuple.  A span that is not F_q-closed is refused."""
     return [coset[0] for coset in _coset_scan(U)]
 
 
@@ -326,13 +322,13 @@ class CosetFamily:
 
 def build_coset_family(code):
     """The cosets U_i + omega^a of every representative U_i, each a from
-    one log-domain covering scan, as the scan's strictly increasing tuples
-    of log indices, each led by its a.
+    one scan that marks F_q^*-classes, residues modulo N/(q - 1), as the
+    scan's strictly increasing tuples of log indices, each led by its a.
 
     The orbits must be disjoint and full-length: each U_i stabilised by
     F_q^* alone.  A larger stabiliser would make two cosets of one orbit
     cyclic shifts of each other, so a short orbit is refused before the
-    scan.
+    scan, and the scan refuses a span that is not F_q-closed.
     """
     if not code.orbits_disjoint():
         raise SubspaceError("code orbits are not pairwise disjoint")

@@ -54,6 +54,21 @@ GOLDEN = {
         "1a6777b5537b8012aa04f67971dbca65517d7467736c4d9a49d1e08d9aa42893",
         "3dfa8b4eb633ed5757189d81239cf7f871f14325154965710cfedede1217a6ca",
     ],
+    # non-prime q, where each class of log indices modulo N/(q - 1) holds
+    # q - 1 = 3 or 7 elements; recorded before the coset scan marked
+    # F_q^*-classes in place of every F_q^*-shift
+    (4, 3): [
+        "4a73e7fbb880a1dd29f71a56de0aaafcf47bce02291fbe370031dc9bfa482edf",
+        "efada7fdf4f8231c2958b7691093c86dc4b9064d4fa352e27376ba010073ed6d",
+        "1b5975f278cabde331c654354232d3ef831bb10c4f719276fd19b5a027233cb6",
+        "108b1e3079447b2ffd9d6940061534c5a61017b07c48c55e4503f31c310eae03",
+    ],
+    (8, 2): [
+        "142e4bb95bc0c6eeb02594aaf2269c9c89f82ca30c7fd7225a33fc48d98b9ab5",
+        "8ad1c9ed7c76ef718505796c990f74506ec9ad39079e838127c4961795914a9d",
+        "5dbc297815eb8c7ae8256ec1da1b0f627132167c3cc7ec4638fc395857abd7f0",
+        "671a64e7f587684c292462a73cad57274d45a5657b8656e673c557fc64988d30",
+    ],
 }
 
 

@@ -36,7 +36,8 @@ def _family(draw):
     return OocCode(n, w, draw(st.integers(0, w)), tuple(sets))
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_family())
 def test_bits_file_roundtrip(tmp_path, ooc):
     path = tmp_path / "x.ooc"
@@ -46,7 +47,8 @@ def test_bits_file_roundtrip(tmp_path, ooc):
     assert lines == ["".join(map(str, bits(X))) for X in ooc.codewords]
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(1, 70).flatmap(lambda n: st.lists(
     st.text("01", min_size=n, max_size=n), min_size=1, max_size=6)))
 def test_read_ooc_text_matches_per_character_parse(tmp_path, lines):

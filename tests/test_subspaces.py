@@ -454,6 +454,19 @@ def test_coset_representatives_refuses_the_whole_field():
         coset_representatives(U)
 
 
+def test_coset_representatives_refuse_a_span_that_is_not_f_q_closed():
+    # zero and omega^0..omega^7: eight F_3^*-classes modulo 80/2 = 40 hold
+    # sixteen elements, not eight; the scan once took 0, in the set, for a
+    # representative
+    V = Subspace(F81, 3, [0, 1], [-1, *range(8)])
+    with pytest.raises(SubspaceError, match=r"not F_3-closed.*F_3\^\*"):
+        coset_representatives(V)
+    # four nonzero elements over F_2 fill whole classes, but not zero
+    W = Subspace(field_create(2, 4), 2, [0, 1], range(4))
+    with pytest.raises(SubspaceError, match=r"F_2\^\*"):
+        coset_representatives(W)
+
+
 def test_coset_representatives_hyperplane():
     f16 = field_create(2, 4)
     U = span(f16, [0, 1, 2], 2)
@@ -534,32 +547,38 @@ G_CODES = [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (3, 3), (4, 3)]
 
 
 @functools.cache
-def _g_orbits(q, k):
-    """construct_g(q, k, 1), and each representative with its t family
-    words, in family order."""
-    code = construct_g(q, k, 1)
+def _orbits(case):
+    """construct_g(q, k, 1) for case (q, k), or the one-orbit F_2 code of
+    canonical_sidon_f64 for "sidon_f64", and each representative with its
+    t family words, in family order."""
+    code = (_family_codes(case)[0] if case == "sidon_f64"
+            else construct_g(*case, 1))
     words = build_coset_family(code).cosets
     t = len(words) // len(code.representatives)
     return code, [(U, words[i * t:(i + 1) * t])
                   for i, U in enumerate(code.representatives)]
 
 
-@pytest.mark.parametrize("q,k", G_CODES)
-def test_coset_representatives_lead_their_family_words(q, k):
-    # the scan's next representative is the least uncovered index, and no
-    # member of a new coset was covered, so it is its coset's least member
-    _, orbits = _g_orbits(q, k)
+@pytest.mark.parametrize("case", G_CODES + ["sidon_f64"],
+                         ids=lambda c: "%s-%s" % c if c in G_CODES else c)
+def test_coset_representatives_lead_their_family_words(case):
+    # the scan's next representative is the least unmarked residue modulo
+    # g = N/(q - 1), and every member of its coset lies in an unmarked
+    # class, so it is below g and its coset's least member; over F_2, g = N
+    code, orbits = _orbits(case)
+    g = code.field.N // (code.ground_q - 1)
     for U, words in orbits:
         reps = coset_representatives(U)
         assert reps == [W[0] for W in words]
         assert reps == greedy_coset_representatives(U)
+        assert all(a < g for a in reps)
 
 
 @pytest.mark.parametrize("q,k", G_CODES)
 def test_orbit_checks_agree_with_the_word_sweep(q, k):
     # checks (a) and (b) with the orbit sweep bound every word correlation
     # by lambda; verify_oos sweeps every word pair: both verdicts pass
-    code, orbits = _g_orbits(q, k)
+    code, orbits = _orbits((q, k))
     f = code.field
     neg1 = log_minus_one(f)
     for U, words in orbits:
