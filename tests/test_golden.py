@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from oocgen import build_coset_family, construct_g, s_of_w
+from conftest import canonical_sidon_f64
+from oocgen import CyclicSubspaceCode, build_coset_family, construct_g, s_of_w
 from oocgen.cli import main
 
 ARTEFACTS = ("ooc", "oos.json", "code.json", "report.json")
@@ -96,6 +97,51 @@ def test_construct_from_golden_code_file_matches_golden_hashes(tmp_path, q,
     assert main(["construct", "--code", f"{out}.code.json",
                  "--out", str(again)]) == 0
     assert _hashes(again) == GOLDEN[(q, k)]
+
+
+# q = 2, where N/(q - 1) = N and every F_q^*-class is one log index, by
+# `construct --code`: the canonical F_64 Sidon code, (63,8,2) size 7, and a
+# two-orbit F_32 code, (31,4,2) size 14; recorded before Subspace kept its
+# span as F_q^*-classes
+CODE_FILES = {
+    "sidon_f64": {"field": {"p": 2, "e": 6, "modulus": [1, 0, 0, 0, 0, 1, 1],
+                            "omega_index": 2},
+                  "orbits": [{"ground_q": 2, "basis": [0, 1, 3]}]},
+    "f32_two_orbit": {"field": {"p": 2, "e": 5,
+                                "modulus": [1, 0, 0, 1, 0, 1],
+                                "omega_index": 2},
+                      "orbits": [{"ground_q": 2, "basis": [0, 1]},
+                                 {"ground_q": 2, "basis": [0, 2]}]},
+}
+
+GOLDEN_CODE_FILES = {
+    "sidon_f64": [
+        "243ca2a00ad6ad05d1e3921879aa05d0b0f59d3be357af39fb11993e10f794ae",
+        "957293d42df56b7c8ce659b3b2b5fa233ac5f65b3897ec014960308eb39d445c",
+        "868c3e98dd1ee02c3d350d0377f1cb38f88e1a9fb1f9f04ac3761e91f9c81f73",
+        "2d3346511a619989797d85d4e8bacd14b88c850d29f6442644af784cded933e4",
+    ],
+    "f32_two_orbit": [
+        "163d22cc2d7a2ef6e8f7606e52c4d8e5b0fab9e3f74529f164ae21b6fa3c9456",
+        "386c77fd28bb4b1d8299d7896870d3892186da8e68d6cc8e2c762f749ec13f23",
+        "476a3edb83cb2011a9730f35a21e34b0c4a92f3e6ae1178c53d45a4abd60b7ee",
+        "a4cae20a53a97a7d299c6e15ccbe3624b289f9efa12e8a29bf7b28d3379adbd1",
+    ],
+}
+
+
+def test_sidon_code_file_is_the_canonical_sidon_f64():
+    U = canonical_sidon_f64()
+    code = CyclicSubspaceCode(U.field, 2, (U,))
+    assert code.to_dict() == CODE_FILES["sidon_f64"]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CODE_FILES))
+def test_construct_from_q2_code_file_matches_golden_hashes(tmp_path, name):
+    path, out = tmp_path / "code.json", tmp_path / "out"
+    path.write_text(json.dumps(CODE_FILES[name]))
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
+    assert _hashes(out) == GOLDEN_CODE_FILES[name]
 
 
 # sha256 of json.dumps([X.sorted() for X in sets]) for the S(W) sets of
