@@ -14,7 +14,7 @@ _HOMES = {
     "subspaces": ("CosetFamily", "CyclicSubspaceCode", "Subspace",
                   "SubspaceError", "build_coset_family", "code_from_dict",
                   "code_min_distance", "construct_g", "construct_w",
-                  "coset_representatives", "span", "subspace_to_dict"),
+                  "coset_representatives", "subspace_to_dict"),
     "ooc": ("IndexSet", "OocCode", "OocError", "OocParams",
             "VerificationError", "VerificationReport", "build_ooc",
             "johnson_bound", "optimality_ratio", "params_table", "s_of_w",

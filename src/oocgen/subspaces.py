@@ -1,16 +1,19 @@
 """F_q-linear subspaces of F_{q^m} and cyclic subspace codes.
 
-An element is its log index (-1 for zero), as in field.py.  Subspaces carry
-their basis as log indices and their full span as a frozenset of them, so
-scaling by omega^a shifts every nonzero index by a.  The distance sweep
-over scalings asks for |U ∩ omega^a V| at each a, and one cyclic difference
-count on the nonzero indices answers it for every a at once:
-|U ∩ omega^a V| = 1 + #{(u, v) : u - v = a (mod N)}.
+An element is its log index (-1 for zero), as in field.py.  The log indices
+of F_q^* are the multiples of g = N/(q - 1), so an F_q^*-class of nonzero
+elements, a point of PG(m - 1, q), is a residue modulo g, and an F_q-subspace
+is zero and a set of whole classes.  A Subspace carries its basis as log
+indices and its span as those residues, so scaling by omega^a adds a to every
+residue.  The distance sweep over scalings asks for |U ∩ omega^a V| at each
+a, and since F_q^* fixes every subspace, a modulo g decides it; one cyclic
+difference count on the classes answers it for every a at once:
+|U ∩ omega^a V| = 1 + (q - 1) #{(u, v) : u - v = a (mod g)}.
 
 kernel._BlockStack, the one counting kernel, makes every such count; _peak
 reads its planes through a mask.  On an orbit's own mask, the positions whose
-count is the whole subspace are its stabiliser, so one pass also tells a short
-orbit.
+count is the whole subspace are its stabiliser modulo F_q^*, so one pass also
+tells a short orbit.
 """
 
 import functools
@@ -26,49 +29,41 @@ class SubspaceError(ValueError):
 
 
 def _nonzero(U):
-    return [i for i in U.span_idx if i >= 0]
+    """U's nonzero log indices: r + u for each class r and each log index
+    u of F_q^*, the multiples of g below N."""
+    units = range(0, U.field.N, U.field.subfield_stride(U.ground_q))
+    return [r + u for r in U.classes for u in units]
 
 
 class Subspace:
-    """An F_q-subspace of the ambient field, with cached span."""
+    """The F_q-span of the elements with the given log indices, with an
+    independent basis extracted and the span kept as its F_q^*-classes.
 
-    __slots__ = ("field", "ground_q", "basis", "span_idx", "dim")
+    Dependent input is reduced, not rejected; the empty set spans {0}.  The
+    span is F_q-closed by construction: for a closed S and lam in F_q^*,
+    s + lam * el = lam (s / lam + el), so a new basis element el adds the
+    classes of the q^dim sums s + el, s in S.
+    """
 
-    def __init__(self, field, ground_q, basis, span_idx):
-        self.field = field
-        self.ground_q = ground_q
-        self.basis = tuple(basis)
-        self.span_idx = frozenset(span_idx)
-        self.dim = len(self.basis)
-        if len(self.span_idx) != ground_q ** self.dim:
-            raise SubspaceError(f"span of size {len(self.span_idx)} does "
-                                f"not match dimension {self.dim} over "
-                                f"F_{ground_q}")
+    __slots__ = ("field", "ground_q", "basis", "classes", "dim")
+
+    def __init__(self, field, ground_q, indices):
+        add, g = field.add, field.subfield_stride(ground_q)
+        units = range(0, field.N, g)
+        basis, classes = [], set()
+        for el in indices:
+            if el < 0 or el % g in classes:  # zero, or already spanned
+                continue
+            basis.append(el)
+            classes |= {add(r + u, el) % g for r in classes for u in units}
+            classes.add(el % g)  # the sum 0 + el
+        self.field, self.ground_q = field, ground_q
+        self.basis, self.dim = tuple(basis), len(basis)
+        self.classes = tuple(sorted(classes))
 
     def __repr__(self):
         return (f"Subspace(dim={self.dim}, q={self.ground_q}, "
                 f"ambient=F_{self.field.order})")
-
-
-def span(field, indices, ground_q):
-    """F_q-span of the elements with the given log indices, with an
-    independent basis extracted.
-
-    Dependent input is reduced, not rejected; the empty set spans {0}.
-    Each new basis element el adds s + lam * el for every s spanned so far
-    and every lam in F_q^*, the log indices that are multiples of the
-    subfield's stride.
-    """
-    add, N = field.add, field.N
-    units = range(0, N, field.subfield_stride(ground_q))
-    current = {-1}
-    basis = []
-    for el in indices:
-        if el in current:
-            continue
-        basis.append(el)
-        current |= {add(s, (el + u) % N) for s in current for u in units}
-    return Subspace(field, ground_q, basis, current)
 
 
 class CyclicSubspaceCode:
@@ -140,7 +135,7 @@ def subspace_from_dict(d, fld):
             type(i) is int and -1 <= i < fld.N for i in basis):
         raise SubspaceError(f"basis entries must be log indices in "
                             f"-1..{fld.N - 1}, got {basis!r}")
-    return span(fld, basis, q)
+    return Subspace(fld, q, basis)
 
 
 def code_from_dict(d):
@@ -163,28 +158,29 @@ def _orbit_sweep(code):
     """The minimum distance and the stabiliser order of each orbit.
 
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
-    sweep of alpha against fixed representatives is exact.  A _BlockStack
-    counts and pushes each U_j: c[a] = |U_i ∩ omega^a U_j| - 1, i <= j.  Its
-    own mask's peak, |U_j| - 1 at a = 0, is U_j's stabiliser, left out of
-    the distance.  The rest of own and all of below are walked peak by peak
-    from the top: each count must be q^e - 1, a subspace's size less zero,
-    looked up among the exact sizes q^0..q^k.
+    sweep of alpha against fixed representatives is exact, and F_q^* fixes
+    every subspace, so a runs over Z_g, g = N/(q - 1).  A _BlockStack(g)
+    counts and pushes the classes of each U_j: c[a] = the number of
+    F_q^*-classes in U_i ∩ omega^a U_j, i <= j.  Its own mask's peak, all
+    of U_j's classes at a = 0, is U_j's stabiliser modulo F_q^*, left out
+    of the distance; each of its residues stands for q - 1 scalars.  The
+    rest of own and all of below are walked peak by peak from the top: a
+    subspace of dimension e holds (q^e - 1)/(q - 1) classes, looked up
+    among e = 0..k.
     """
-    q, N, k = code.ground_q, code.field.N, code.dim
-    dims = {q ** e: e for e in range(k + 1)}
-    most, orders, stack = -1, [], _BlockStack(N)  # most: max dim(U ∩ a V)
+    q, k = code.ground_q, code.dim
+    dims = {(q ** e - 1) // (q - 1): e for e in range(k + 1)}
+    g = code.field.subfield_stride(q)
+    most, orders, stack = -1, [], _BlockStack(g)  # most: max dim(U ∩ a V)
     for U in code.representatives:
-        planes, own, below = stack.count(_nonzero(U))
+        planes, own, below = stack.count(U.classes)
         stack.push()
         _, stab = _peak(planes, own)
-        orders.append(stab.bit_count())
+        orders.append((q - 1) * stab.bit_count())
         region = below | own ^ stab  # stab lies in own
         while region:
             v, bits = _peak(planes, region)
-            if 1 + v not in dims:
-                raise SubspaceError(f"set of size {1 + v} is not "
-                                    f"F_{q}-subspace sized")
-            most = max(most, dims[1 + v])
+            most = max(most, dims[v])
             region ^= bits  # bits lie in region
     if most < 0:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
@@ -207,8 +203,8 @@ def construct_w(fld, q, k, s, mu, xi):
     c, qs = fld.mul(xi, mu), q ** s
     # the map is F_q-linear, so the images of 1, g, ..., g^(k-1) span U;
     # x^(q^s) is the index x * q^s
-    U = span(fld, [fld.add(x, fld.mul(c, x * qs % N))
-                   for x in (g * i % N for i in range(k))], q)
+    U = Subspace(fld, q, [fld.add(x, fld.mul(c, x * qs % N))
+                          for x in (g * i % N for i in range(k))])
     if U.dim != k:
         raise SubspaceError("degenerate (xi, mu): image has dimension < k")
     return U
@@ -271,26 +267,22 @@ def _coset_scan(U):
     ascending.  a leads its tuple.
 
     omega^a + U is a and a + zech[u - a] for the nonzero span indices u.
-    The log indices of F_q^* are the multiples of g = N/(q - 1), so an
-    F_q^*-class of nonzero elements is a residue modulo g, and an F_q-linear
-    U^* is a union of whole classes: U is refused unless its marked residues
-    times q - 1 equal |U| - 1.  lam(omega^a + U) = lam omega^a + U, so marking
-    a coset's residues marks every F_q-multiple of it, and the classes of
-    cosets partition the field outside U.  The next a is the least unmarked
+    U^* is its F_q^*-classes, residues modulo g = N/(q - 1), which start
+    marked.  lam(omega^a + U) = lam omega^a + U, so marking a coset's
+    residues marks every F_q-multiple of it, and the classes of cosets
+    partition the field outside U.  The next a is the least unmarked
     residue: it is below g, each member of its coset lies in an unmarked
     class, so a is the coset's least member, and -omega^a is not in U.
     """
     f, q, N = U.field, U.ground_q, U.field.N
-    if len(U.span_idx) >= f.order:
+    size = q ** U.dim
+    if size >= f.order:
         raise SubspaceError("U must be a proper subspace")
-    t = (f.order // len(U.span_idx) - 1) // (q - 1)
+    t = (f.order // size - 1) // (q - 1)
     g, zech, span_nz = f.subfield_stride(q), f.zech, _nonzero(U)
     covered = bytearray(g)
-    for i in span_nz:
-        covered[i % g] = 1
-    if covered.count(1) * (q - 1) != len(U.span_idx) - 1:
-        raise SubspaceError(f"U is not F_{q}-closed: it must hold 0 and "
-                            f"whole F_{q}^*-classes")
+    for r in U.classes:
+        covered[r] = 1
     a = -1
     for _ in range(t):  # each coset marks q^k of t q^k unmarked residues
         a = covered.find(0, a + 1)
@@ -305,7 +297,7 @@ def coset_representatives(U):
     of F_{q^m}/U, from the class-marking scan: exactly
     t = (q^{m-k} - 1)/(q - 1), none in U, no two differing by an
     F_q-multiple modulo U, each below N/(q - 1) and the first member of its
-    coset's tuple.  A span that is not F_q-closed is refused."""
+    coset's tuple."""
     return [coset[0] for coset in _coset_scan(U)]
 
 
@@ -328,7 +320,7 @@ def build_coset_family(code):
     The orbits must be disjoint and full-length: each U_i stabilised by
     F_q^* alone.  A larger stabiliser would make two cosets of one orbit
     cyclic shifts of each other, so a short orbit is refused before the
-    scan, and the scan refuses a span that is not F_q-closed.
+    scan.
     """
     if not code.orbits_disjoint():
         raise SubspaceError("code orbits are not pairwise disjoint")

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from oocgen import (CosetFamily, CyclicSubspaceCode, FieldError, IndexSet, OocError, Subspace, SubspaceError,
-                    VerificationReport, build_ooc, construct_g, field_create,
-                    span)
+from oocgen import (CosetFamily, CyclicSubspaceCode, FieldError, IndexSet,
+                    OocError, Subspace, SubspaceError, VerificationReport,
+                    build_ooc, construct_g, field_create)
 from oocgen.field import find_irreducible_factor
 
 
@@ -186,19 +186,46 @@ def check_field_conditions(fld, w_lists, lam):
 
 
 # ---------------------------------------------------------------------------
-# subspaces: scaling, Sidon, orbits
+# subspaces: span, scaling, Sidon, orbits
 # ---------------------------------------------------------------------------
 
+def combinations_set(f, q, vectors):
+    """The log indices of every F_q-combination of the given log indices,
+    by field multiplication and addition: q^len(vectors) combinations.
+    More vectors than the field's dimension over F_q are dependent, and
+    are refused rather than enumerated."""
+    if q ** len(vectors) > f.order:
+        raise SubspaceError(f"{len(vectors)} vectors over F_{q} in "
+                            f"F_{f.order} are dependent")
+    scalars = [-1, *range(0, f.N, f.subfield_stride(q))]
+    out = set()
+    for coeffs in itertools.product(scalars, repeat=len(vectors)):
+        x = -1
+        for c, v in zip(coeffs, vectors):
+            x = f.add(x, f.mul(c, v))
+        out.add(x)
+    return frozenset(out)
+
+
+def span_set(U):
+    """Oracle for U's span, apart from U.classes: the log indices of every
+    F_q-combination of U.basis, zero (-1) included."""
+    return combinations_set(U.field, U.ground_q, U.basis)
+
+
 def scaled(U, a):
-    """The subspace omega^a U: basis omega^a b, span shifted by a."""
+    """The subspace omega^a U: basis omega^a b."""
     f = U.field
-    return Subspace(f, U.ground_q, [f.mul(b, a) for b in U.basis],
-                    frozenset(f.mul(i, a) for i in U.span_idx))
+    return Subspace(f, U.ground_q, [f.mul(b, a) for b in U.basis])
+
+
+def _nonzero_span(U):
+    return [i for i in span_set(U) if i >= 0]
 
 
 def _self_counts(U):
     """c[a] = |U ∩ omega^a U| - 1 for each a, by the pair loop."""
-    S = [i for i in U.span_idx if i >= 0]
+    S = _nonzero_span(U)
     return pair_difference_counts(S, S, U.field.N)
 
 
@@ -222,7 +249,7 @@ def is_multi_sidon(spaces):
     and for alpha outside F_q when i = j.  Returns (True, None) or
     (False, (i, j, a)), the lowest i, then j, then log index a of alpha.
     """
-    if len({U.span_idx for U in spaces}) != len(spaces):
+    if len({span_set(U) for U in spaces}) != len(spaces):
         raise SubspaceError("duplicate subspaces in multi-Sidon input")
     if len({U.dim for U in spaces}) != 1:
         raise SubspaceError("multi-Sidon input must have equal dimensions")
@@ -231,7 +258,7 @@ def is_multi_sidon(spaces):
         ok, alpha = is_sidon(U)
         if not ok:
             return False, (i, i, alpha)
-    S = [[x for x in U.span_idx if x >= 0] for U in spaces]
+    S = [_nonzero_span(U) for U in spaces]
     for i, j in itertools.combinations(range(len(spaces)), 2):
         c = pair_difference_counts(S[i], S[j], f.N)
         a = next((a for a in range(f.N) if c[a] >= q), None)
@@ -243,7 +270,7 @@ def is_multi_sidon(spaces):
 def orbit_size(U):
     """N / |stabiliser|, the stabiliser being the a with omega^a U = U."""
     c = _self_counts(U)
-    return U.field.N // sum(1 for v in c if v >= len(U.span_idx) - 1)
+    return U.field.N // sum(1 for v in c if v >= U.ground_q ** U.dim - 1)
 
 
 def code_size(code):
@@ -371,11 +398,11 @@ def greedy_coset_representatives(U):
     f, q = U.field, U.ground_q
     units = range(0, f.N, f.subfield_stride(q))
     t = (f.order // q ** U.dim - 1) // (q - 1)
-    reps = []
+    S, reps = span_set(U), []
     for a in range(f.N):
-        if a in U.span_idx:
+        if a in S:
             continue
-        if any(sub(f, a, f.mul(lam, r)) in U.span_idx
+        if any(sub(f, a, f.mul(lam, r)) in S
                for r in reps for lam in units):
             continue
         reps.append(a)
@@ -390,8 +417,9 @@ def field_coset_family(code):
     the frozenset of its members' log indices."""
     cosets = []
     for U in code.representatives:
+        S = span_set(U)
         for a in greedy_coset_representatives(U):
-            cosets.append(frozenset(U.field.add(u, a) for u in U.span_idx))
+            cosets.append(frozenset(U.field.add(u, a) for u in S))
     return CosetFamily(tuple(cosets))
 
 
@@ -405,7 +433,7 @@ def coset_word_ok(U, word, minus_one):
     diffs = {f.add(y, (x0 + minus_one) % f.N) for y in word[1:]}
     return (len(word) == U.ground_q ** U.dim
             and all(0 <= y < f.N for y in word)
-            and diffs == U.span_idx - {-1})
+            and diffs == span_set(U) - {-1})
 
 
 def orbit_words_cover_once(U, words):
@@ -413,7 +441,7 @@ def orbit_words_cover_once(U, words):
     words cover Z_N exactly once."""
     f = U.field
     units = range(0, f.N, f.subfield_stride(U.ground_q))
-    marked = [x for x in U.span_idx if x >= 0]
+    marked = _nonzero_span(U)
     marked += [(x + s) % f.N for word in words for x in word for s in units]
     return sorted(marked) == list(range(f.N))
 
@@ -456,10 +484,11 @@ def canonical_sidon_f64():
     f = field_create(2, 6)
     seen = set()
     for trip in itertools.combinations(range(f.N), 3):
-        U = span(f, trip, 2)
-        if U.dim != 3 or U.span_idx in seen:
+        U = Subspace(f, 2, trip)
+        S = span_set(U)
+        if U.dim != 3 or S in seen:
             continue
-        seen.add(U.span_idx)
+        seen.add(S)
         ok, _ = is_sidon(U)
         if ok:
             return U

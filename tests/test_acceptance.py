@@ -7,11 +7,12 @@ import itertools
 import random
 import time
 
-from oocgen import (CyclicSubspaceCode, code_min_distance, construct_g,
-                    construct_w, field_create, s_of_w, span, verify_oos)
+from oocgen import (CyclicSubspaceCode, Subspace, code_min_distance,
+                    construct_g, construct_w, field_create, s_of_w,
+                    verify_oos)
 from conftest import (bit_level_ooc_ok, bits, check_field_conditions,
                       gaussian_binomial, inverse, is_sidon, log_of, orbit_size,
-                      shift)
+                      shift, span_set)
 
 
 def _report(name, detail):
@@ -63,9 +64,10 @@ def test_criterion_4_sidon_iff_optimal_full_length():
     seen = set()
     subspaces = []
     for i, j in itertools.combinations(range(80), 2):
-        U = span(f, [i, j], 3)
-        if U.dim == 2 and U.span_idx not in seen:
-            seen.add(U.span_idx)
+        U = Subspace(f, 3, [i, j])
+        S = span_set(U)
+        if U.dim == 2 and S not in seen:
+            seen.add(S)
             subspaces.append(U)
     assert len(subspaces) == gaussian_binomial(4, 2, 3) == 130
     full_length = 80 // 2

@@ -106,7 +106,7 @@ def test_public_names_are_the_layers_own_objects():
         "factor_prime_power", "CosetFamily", "CyclicSubspaceCode",
         "Subspace", "SubspaceError", "build_coset_family", "code_from_dict",
         "code_min_distance", "construct_g", "construct_w",
-        "coset_representatives", "span", "subspace_to_dict", "IndexSet",
+        "coset_representatives", "subspace_to_dict", "IndexSet",
         "OocCode", "OocError", "OocParams", "VerificationError",
         "VerificationReport", "build_ooc", "johnson_bound",
         "optimality_ratio", "params_table", "s_of_w", "verify_oos"])

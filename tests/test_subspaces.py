@@ -12,49 +12,80 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oocgen import (CyclicSubspaceCode, SubspaceError, build_coset_family,
-                    build_ooc, code_min_distance, construct_g, construct_w,
-                    coset_representatives, field_create, span)
+from oocgen import (CyclicSubspaceCode, Subspace, SubspaceError,
+                    build_coset_family, build_ooc, code_min_distance,
+                    construct_g, construct_w, coset_representatives,
+                    field_create)
 from oocgen import ooc, s_of_w, subspaces, verify_oos
-from oocgen.subspaces import Subspace
-from conftest import (canonical_sidon_f64, code_size, coset_word_ok,
-                      field_coset_family, gaussian_binomial,
+from conftest import (canonical_sidon_f64, code_size, combinations_set,
+                      coset_word_ok, field_coset_family, gaussian_binomial,
                       greedy_coset_representatives, is_multi_sidon,
                       is_sidon, log_minus_one, log_of, norm_conditions,
                       orbit_size, orbit_words_cover_once, neg,
-                      rank_dim_intersection, scaled, strictly_increasing, sub,
-                      w_and_xi)
+                      pair_difference_counts, rank_dim_intersection, scaled,
+                      span_set, strictly_increasing, sub, w_and_xi)
 
 
 F81 = field_create(3, 4)
 F9_STRIDE = F81.subfield_stride(9)  # F_9^* is the multiples of 10
 
+# (q, field): F_81 over F_3 and F_9, F_16 over F_2, F_64 over F_2 and F_4
+STABILISER_FIELDS = [(q, field_create(p, e)) for p, e, q in
+                     [(3, 4, 3), (3, 4, 9), (2, 4, 2), (2, 6, 2), (2, 6, 4)]]
+
 
 # ---------------------------------------------------------------------------
-# span
+# span: a basis and F_q^*-classes
 # ---------------------------------------------------------------------------
+
+def _span_of(U):
+    """U's span as log indices, zero (-1) included, from its classes."""
+    return {-1, *subspaces._nonzero(U)}
+
 
 def test_span_empty():
-    U = span(F81, [], 3)
-    assert U.dim == 0
-    assert U.span_idx == {-1}
+    U = Subspace(F81, 3, [])
+    assert U.dim == 0 and U.classes == ()
+    assert _span_of(U) == span_set(U) == {-1}
 
 
 def test_span_two_independent():
-    U = span(F81, [0, 1], 3)
+    U = Subspace(F81, 3, [0, 1])
     assert U.dim == 2
-    assert len(U.span_idx) == 9
+    assert len(U.classes) == 4  # (3^2 - 1)/(3 - 1)
     # oracle: enumerate all 9 F_3-combinations a * 1 + b * omega directly
     combos = {F81.add(F81.mul(log_of(F81, a), 0),
                       F81.mul(log_of(F81, b), 1))
               for a in range(3) for b in range(3)}
-    assert combos == U.span_idx
+    assert combos == _span_of(U) == span_set(U)
 
 
 def test_span_reduces_dependent_input():
     two = F81.add(0, 0)
-    U = span(F81, [0, two], 3)
+    U = Subspace(F81, 3, [0, two])
     assert U.dim == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STABILISER_FIELDS + [(5, field_create(5, 3))]),
+       st.data())
+def test_span_classes_match_the_combination_oracle(qf, data):
+    # the classes expand to every F_q-combination of the basis, one class
+    # per projective point; the basis is the input with each element
+    # already in the span of those before it left out
+    q, f = qf
+    m = next(m for m in range(1, f.e + 1) if q ** m == f.order)
+    indices = data.draw(st.lists(st.integers(-1, f.N - 1), max_size=m + 1))
+    U = Subspace(f, q, indices)
+    assert _span_of(U) == span_set(U)
+    assert len(U.classes) == (q ** U.dim - 1) // (q - 1)
+    assert strictly_increasing(U.classes)
+    assert all(0 <= r < f.N // (q - 1) for r in U.classes)
+    basis = []
+    for el in indices:
+        if el not in combinations_set(f, q, basis):
+            basis.append(el)
+    assert U.basis == tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +93,15 @@ def test_span_reduces_dependent_input():
 # ---------------------------------------------------------------------------
 
 # rank_dim_intersection is the reference in the distance sweep's test
-# below; it must agree with the intersection of the cached spans
+# below; it must agree with the intersection of the spans' combinations
 
 def _span_dim_intersection(U, V):
     dims = {U.ground_q ** d: d for d in range(U.dim + 1)}
-    return dims[len(U.span_idx & V.span_idx)]
+    return dims[len(span_set(U) & span_set(V))]
 
 
 def test_dim_intersection_subfield_vs_scaled():
-    U = span(F81, range(0, 80, F9_STRIDE), 3)
+    U = Subspace(F81, 3, range(0, 80, F9_STRIDE))
     V = scaled(U, 1)
     assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
@@ -78,19 +109,19 @@ def test_dim_intersection_subfield_vs_scaled():
 def test_dim_intersection_random_vs_rank_oracle():
     rng = random.Random(3)
     for _ in range(40):
-        U = span(F81, rng.sample(range(80), 2), 3)
-        V = span(F81, rng.sample(range(80), 2), 3)
+        U = Subspace(F81, 3, rng.sample(range(80), 2))
+        V = Subspace(F81, 3, rng.sample(range(80), 2))
         assert _span_dim_intersection(U, V) == rank_dim_intersection(U, V)
 
 
 def test_mismatched_fields_rejected():
     f16 = field_create(2, 4)
-    U = span(F81, [0], 3)
-    V = span(f16, [0], 2)
+    U = Subspace(F81, 3, [0])
+    V = Subspace(f16, 2, [0])
     with pytest.raises(SubspaceError, match="different ambient fields"):
         CyclicSubspaceCode(F81, 3, (U, V))
     # the same dimension over F_9 and over F_3
-    W = span(F81, [0], 9)
+    W = Subspace(F81, 9, [0])
     with pytest.raises(SubspaceError, match="ground fields F_3 and F_9"):
         CyclicSubspaceCode(F81, 3, (U, W))
     with pytest.raises(SubspaceError, match="ground fields F_9 and F_3"):
@@ -102,12 +133,12 @@ def test_mismatched_fields_rejected():
 # ---------------------------------------------------------------------------
 
 def test_one_dimensional_is_sidon():
-    ok, wit = is_sidon(span(F81, [7], 3))
+    ok, wit = is_sidon(Subspace(F81, 3, [7]))
     assert ok and wit is None
 
 
 def test_subfield_is_not_sidon():
-    U = span(F81, range(0, 80, F9_STRIDE), 3)
+    U = Subspace(F81, 3, range(0, 80, F9_STRIDE))
     ok, wit = is_sidon(U)
     assert not ok
     # witness lies in F_9 \ F_3, where alpha*U = U
@@ -128,14 +159,14 @@ def test_multi_sidon_singleton(pipeline_q3):
 
 
 def test_multi_sidon_rejects_proportional_pair():
-    U = span(F81, [0, 1], 3)
+    U = Subspace(F81, 3, [0, 1])
     V = scaled(U, 1)
     ok, wit = is_multi_sidon([U, V])
     assert not ok
     i, j, alpha = wit
     spaces = [U, V]
     # the witness exhibits an overlap of dimension >= 2
-    overlap = spaces[i].span_idx & scaled(spaces[j], alpha).span_idx
+    overlap = span_set(spaces[i]) & span_set(scaled(spaces[j], alpha))
     assert len(overlap) >= 9
 
 
@@ -146,7 +177,7 @@ def test_multi_sidon_construction(pipeline_q5):
 
 
 def test_multi_sidon_rejects_duplicates():
-    U = span(F81, [0, 1], 3)
+    U = Subspace(F81, 3, [0, 1])
     with pytest.raises(SubspaceError):
         is_multi_sidon([U, U])
 
@@ -156,13 +187,13 @@ def test_multi_sidon_rejects_duplicates():
 # ---------------------------------------------------------------------------
 
 def test_orbit_of_whole_field():
-    U = span(F81, range(80), 3)
+    U = Subspace(F81, 3, range(80))
     assert U.dim == 4
     assert orbit_size(U) == 1
 
 
 def test_orbit_of_subfield():
-    U = span(F81, range(0, 80, F9_STRIDE), 3)
+    U = Subspace(F81, 3, range(0, 80, F9_STRIDE))
     assert orbit_size(U) == 80 // 8  # stabilizer F_9^*
 
 
@@ -171,23 +202,18 @@ def test_orbit_of_sidon_space_is_full_length(pipeline_q3):
     U = code.representatives[0]
     assert orbit_size(U) == 80 // 2
     # omega^a U for a < orbit_size(U) are distinct; omega^40 U = U
-    assert len({scaled(U, a).span_idx for a in range(40)}) == 40
-    assert scaled(U, 40).span_idx == U.span_idx
+    assert len({span_set(scaled(U, a)) for a in range(40)}) == 40
+    assert span_set(scaled(U, 40)) == span_set(U)
 
 
 def test_orbit_size_formula():
     # orbit size is (q^m-1)/(q^t-1) for some t | m
     rng = random.Random(9)
     for _ in range(15):
-        U = span(F81, rng.sample(range(80), 2), 3)
+        U = Subspace(F81, 3, rng.sample(range(80), 2))
         size = orbit_size(U)
         assert any(size == 80 // (3 ** t - 1)
                    for t in (1, 2, 4) if 80 % (3 ** t - 1) == 0)
-
-
-# (q, field): F_81 over F_3 and F_9, F_16 over F_2, F_64 over F_2 and F_4
-STABILISER_FIELDS = [(q, field_create(p, e)) for p, e, q in
-                     [(3, 4, 3), (3, 4, 9), (2, 4, 2), (2, 6, 2), (2, 6, 4)]]
 
 
 @st.composite
@@ -205,8 +231,8 @@ def _equal_dim_subspaces(draw):
         stride = f.subfield_stride(q ** d)
         heads = draw(st.lists(st.integers(0, f.N - 1), min_size=dim // d,
                               max_size=dim // d))
-        U = span(f, [(b + stride * g) % f.N for b in heads for g in range(d)],
-                 q)
+        U = Subspace(f, q, [(b + stride * g) % f.N
+                            for b in heads for g in range(d)])
         if U.dim == dim:
             reps.append(U)
     assume(reps)
@@ -232,15 +258,34 @@ def test_code_min_distance_vs_full_pair_sweep():
     # one orbit of U = F_4 inside F_16 over F_2, checked against the
     # exhaustive all-pairs oracle
     f16 = field_create(2, 4)
-    U = span(f16, range(0, 15, f16.subfield_stride(4)), 2)
+    U = Subspace(f16, 2, range(0, 15, f16.subfield_stride(4)))
     code = CyclicSubspaceCode(f16, 2, (U,))
-    orb = {V.span_idx: V for V in (scaled(U, a) for a in range(f16.N))}
+    orb = {span_set(V): V for V in (scaled(U, a) for a in range(f16.N))}
     orb = list(orb.values())
     assert len(orb) == orbit_size(U)
     oracle = min(
         V1.dim + V2.dim - 2 * rank_dim_intersection(V1, V2)
         for V1, V2 in itertools.combinations(orb, 2))
     assert code_min_distance(code) == oracle == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equal_dim_subspaces())
+def test_code_min_distance_vs_pair_loop_on_multi_orbit_codes(reps):
+    # one to three orbits over F_2, F_3, F_4 and F_9, short ones included:
+    # |U_i ∩ omega^a U_j| = 1 + the pair loop's count on the span members
+    # in Z_N, i <= j, leaving out each U_i's own stabiliser, the a where
+    # the count is all of U_i^*
+    f, q, k = reps[0].field, reps[0].ground_q, reps[0].dim
+    dims = {q ** e: e for e in range(k + 1)}
+    S = [[x for x in span_set(U) if x >= 0] for U in reps]
+    most = max(dims[1 + v]
+               for i, j in itertools.combinations_with_replacement(
+                   range(len(reps)), 2)
+               for v in pair_difference_counts(S[i], S[j], f.N)
+               if i != j or v < q ** k - 1)
+    code = CyclicSubspaceCode(f, q, reps)
+    assert code_min_distance(code) == 2 * k - 2 * most
 
 
 def _stack_calls(monkeypatch, *modules):
@@ -293,14 +338,18 @@ def test_construct_sweeps_orbit_pairs_once(monkeypatch):
 
 
 def test_min_distance_single_subspace_rejected():
-    U = span(F81, range(80), 3)
+    U = Subspace(F81, 3, range(80))
     with pytest.raises(SubspaceError, match="undefined"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (U,)))
-    # nine log indices, but not closed under addition: the largest count
-    # off the stabiliser, 7 at alpha = omega, makes |V ∩ alpha V| = 8, no
-    # power of 3
-    V = Subspace(F81, 3, [0, 1], [-1, *range(8)])
-    with pytest.raises(SubspaceError, match="set of size 8 is not F_3"):
+    # omega^0..omega^7 span, not list: the span is F_3-closed by
+    # construction, here the whole field, so its one orbit has no distance
+    V = Subspace(F81, 3, range(8))
+    S = _span_of(V)
+    assert V.dim == 4 and len(V.classes) == 40 and S == span_set(V)
+    units = range(0, 80, F81.subfield_stride(3))
+    assert all(F81.add(x, F81.mul(lam, y)) in S
+               for x in S for y in S for lam in units)
+    with pytest.raises(SubspaceError, match="undefined"):
         code_min_distance(CyclicSubspaceCode(F81, 3, (V,)))
 
 
@@ -315,7 +364,7 @@ def test_bad_norm_pair_lowers_distance():
     assert report[0]["condition"] == "equal norms"
     U1 = construct_w(f, 5, 2, 1, mus[0], xi)
     U2 = construct_w(f, 5, 2, 1, mus[1], xi)
-    assert U1.span_idx != U2.span_idx
+    assert span_set(U1) != span_set(U2)
     code = CyclicSubspaceCode(f, 5, (U1, U2))
     assert (not code.orbits_disjoint()
             or code_min_distance(code) < 2)
@@ -333,15 +382,15 @@ def _xi_outside_f9(*skip):
 def test_construct_w_mu_zero_gives_subfield():
     xi = _xi_outside_f9()
     U = construct_w(F81, 3, 2, 1, -1, xi)
-    assert U.span_idx == span(F81, range(0, 80, F9_STRIDE), 3).span_idx
+    assert span_set(U) == span_set(Subspace(F81, 3, range(0, 80, F9_STRIDE)))
 
 
 def test_construct_w_gcd_degenerate_not_sidon():
     # s = 2 with k = 2: x^(q^s) = x on F_9, so W is a scalar multiple of F_9
     xi = _xi_outside_f9(neg(F81, 0))  # 1 + xi != 0
     U = construct_w(F81, 3, 2, 2, 0, xi)
-    subfield = span(F81, range(0, 80, F9_STRIDE), 3)
-    assert U.span_idx == scaled(subfield, F81.add(0, xi)).span_idx
+    subfield = Subspace(F81, 3, range(0, 80, F9_STRIDE))
+    assert span_set(U) == span_set(scaled(subfield, F81.add(0, xi)))
     ok, wit = is_sidon(U)
     assert not ok and wit is not None
 
@@ -358,8 +407,8 @@ def test_construct_w_basis_is_what_span_picks():
         # x^3 is the index 3x; the image of zero is zero, which spans nothing
         images = [F81.add(x, F81.mul(F81.mul(xi, mu), 3 * x % 80))
                   for x in range(0, 80, F9_STRIDE)]
-        V = span(F81, images, 3)
-        assert U.basis == V.basis and U.span_idx == V.span_idx
+        V = Subspace(F81, 3, images)
+        assert U.basis == V.basis and U.classes == V.classes
         checked += 1
     assert checked
 
@@ -398,8 +447,8 @@ def test_construct_g_meets_the_theorem(q, k):
     assert code.stabiliser_orders == (q - 1,) * r
     w, xi = w_and_xi(f, q, k)
     mus = [w * i % f.N for i in range(r)]
-    assert [U.span_idx for U in code.representatives] == [
-        construct_w(f, q, k, 1, mu, xi).span_idx for mu in mus]
+    assert [span_set(U) for U in code.representatives] == [
+        span_set(construct_w(f, q, k, 1, mu, xi)) for mu in mus]
     ok, report = norm_conditions(f, q, k, mus, xi)
     assert ok, report
 
@@ -439,44 +488,31 @@ def test_coset_representatives_q3(pipeline_q3):
     U = code.representatives[0]
     reps = coset_representatives(U)
     assert len(reps) == 4  # (3^2 - 1)/2
-    units = range(0, 80, F81.subfield_stride(3))
+    units, S = range(0, 80, F81.subfield_stride(3)), span_set(U)
     for d1, d2 in itertools.combinations(reps, 2):
         for lam in units:
-            assert sub(F81, d1, F81.mul(lam, d2)) not in U.span_idx
+            assert sub(F81, d1, F81.mul(lam, d2)) not in S
     for d in reps:
-        assert d not in U.span_idx
+        assert d not in S
 
 
 def test_coset_representatives_refuses_the_whole_field():
-    U = span(F81, range(80), 3)
-    assert len(U.span_idx) == 81
+    U = Subspace(F81, 3, range(80))
+    assert len(span_set(U)) == 81
     with pytest.raises(SubspaceError, match="U must be a proper subspace"):
         coset_representatives(U)
 
 
-def test_coset_representatives_refuse_a_span_that_is_not_f_q_closed():
-    # zero and omega^0..omega^7: eight F_3^*-classes modulo 80/2 = 40 hold
-    # sixteen elements, not eight; the scan once took 0, in the set, for a
-    # representative
-    V = Subspace(F81, 3, [0, 1], [-1, *range(8)])
-    with pytest.raises(SubspaceError, match=r"not F_3-closed.*F_3\^\*"):
-        coset_representatives(V)
-    # four nonzero elements over F_2 fill whole classes, but not zero
-    W = Subspace(field_create(2, 4), 2, [0, 1], range(4))
-    with pytest.raises(SubspaceError, match=r"F_2\^\*"):
-        coset_representatives(W)
-
-
 def test_coset_representatives_hyperplane():
     f16 = field_create(2, 4)
-    U = span(f16, [0, 1, 2], 2)
+    U = Subspace(f16, 2, [0, 1, 2])
     assert U.dim == 3
     assert len(coset_representatives(U)) == 1
 
 
 def test_coset_representatives_q2_m6():
     f = field_create(2, 6)
-    U = span(f, [0, 1, 2], 2)
+    U = Subspace(f, 2, [0, 1, 2])
     assert U.dim == 3
     assert len(coset_representatives(U)) == 7  # (2^3 - 1)/1
 
@@ -485,7 +521,7 @@ def _random_subspace(p, e, q, dim, seed):
     f = field_create(p, e)
     rng = random.Random(seed)
     while True:
-        U = span(f, rng.sample(range(f.N), dim), q)
+        U = Subspace(f, q, rng.sample(range(f.N), dim))
         if U.dim == dim:
             return U
 
@@ -617,7 +653,7 @@ def test_coset_family_q3(pipeline_q3):
 
 
 def test_scaled_pair_orbits_are_not_disjoint():
-    U = span(F81, [0, 1], 3)
+    U = Subspace(F81, 3, [0, 1])
     code = CyclicSubspaceCode(F81, 3, (U, scaled(U, 5)))
     assert not code.orbits_disjoint()
     with pytest.raises(SubspaceError):
