@@ -70,6 +70,33 @@ GOLDEN = {
         "5dbc297815eb8c7ae8256ec1da1b0f627132167c3cc7ec4638fc395857abd7f0",
         "671a64e7f587684c292462a73cad57274d45a5657b8656e673c557fc64988d30",
     ],
+    # larger sizes, recorded from the exhaustive word sweep: about 5, 0.6,
+    # 18 and 28 s of sweep each before build_ooc proved lambda from the
+    # orbits
+    (13, 2): [
+        "e07282c09be8c9bf9a339175efbd13dbb408d6991d6d03cf6fbf1123d3ffd71a",
+        "7c1ad488d590e89b561747e98d14a1af3af23db04546165bf2e4952e2c5f4f9d",
+        "25ae8ec9882b06bebed28c862d2d38631f4ab3b70a0f075d65d0baf434441f6a",
+        "48081cfede223cc5ca0b3d10f4560a197e0c9f64e2cf53091f5c0a98dd4cfe8c",
+    ],
+    (5, 3): [
+        "e881045575de10cc9b7443e360d54494472e472293cceaf4ed5eba752d9b5935",
+        "d032166affba077f15cc995fd337f20aadaaaaaf671ea157379828739c249ef1",
+        "52baff0eda19445bbbbdd89768ce210bacb015a126de3bfa330c2c2ed9f48ed9",
+        "368dfd3e326b17aaf33e31415f4775ef9ee358082381a3fb8de31c1f5090a90d",
+    ],
+    (4, 4): [
+        "ee03e791535ed3c2bd11f142998af02d82a1dc743b3eddbd3d449de8101886bf",
+        "b385f8ddf087aa20812571a028daec79533f914d10c1b83bcdcbbd6550ccbfba",
+        "d25d91a3333933a4dd8829dcb3b6f9b4ffa0aab0536867a9916ca0201a795d1e",
+        "44ce0444933015b70bb42d3d9e8e9ade0b921142f5dd921d153b23b3eaf9bd38",
+    ],
+    (3, 5): [
+        "d1241c5b28cea655ff7212a8d15b68b2a8d30f9de082bc6fbd14c6ff6c02b2ab",
+        "da359160cfef3cc5c2856a0bc58ca03297ee9025360f22d3eb9c482253621b03",
+        "812222929521324c54a3c24466c38bc3b62e84c7abc9e0fa509a99a16f5c0dba",
+        "fc4ec9445eeaaad1409186ff24efd2df92859c82920dd1ab59d2f16f24f8a4d2",
+    ],
 }
 
 
