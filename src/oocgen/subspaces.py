@@ -332,3 +332,43 @@ def build_coset_family(code):
                                 f"q - 1 = {q - 1}")
     return CosetFamily(tuple(coset for U in code.representatives
                              for coset in _coset_scan(U)))
+
+
+def _orbit_proof(code, cosets):
+    """True when two exact checks per orbit show that no correlation of the
+    words exceeds lam = q^(k - d/2), d the code's minimum distance.
+
+    Each orbit a, full-length, must hold t = len(cosets)/r consecutive
+    words, and:
+    (a) each word is x0 + U_a for its first member x0: it has q^k members,
+        and omega^y - omega^x0 = omega^(x0 + h)(1 + omega^(y - x0 + h)),
+        h = log(-1), runs over U_a^* as y runs over the other members;
+    (b) U_a's classes and the residues modulo g = N/(q - 1) of the words'
+        members are range(g), each once.
+    Two affine cosets meet in nothing or in a coset of the intersection of
+    their subspaces, so |X_i ∩ (X_j + tau)| <= |U_a ∩ omega^tau U_b|, which
+    the orbit sweep bounds by lam unless omega^tau U_a = U_a, tau a multiple
+    of g.  There omega^tau X_j has X_j's residues, so by (b) it misses X_i,
+    and X_j itself but at tau = 0.  Nothing here reuses the coset scan, so
+    the checks re-prove what it built.
+    """
+    f, q, reps = code.field, code.ground_q, code.representatives
+    N, g, zech = f.N, f.subfield_stride(q), f.zech
+    h = 0 if f.p == 2 else N // 2  # -1 = omega^h
+    t, rest = divmod(len(cosets), len(reps))
+    if rest or any(order != q - 1 for order in code.stabiliser_orders):
+        return False
+    size = q ** code.dim
+    for a, U in enumerate(reps):
+        words, span_nz = cosets[a * t:(a + 1) * t], sorted(_nonzero(U))
+        for word in words:
+            if len(word) != size:
+                return False
+            x0 = word[0]
+            if sorted((x0 + h + zech[(y - x0 + h) % N]) % N
+                      for y in word if y != x0) != span_nz:
+                return False
+        residues = [x % g for word in words for x in word]
+        if sorted([*U.classes, *residues]) != list(range(g)):
+            return False
+    return True

@@ -20,6 +20,7 @@ from oocgen import (CosetFamily, CyclicSubspaceCode, FieldError, IndexSet,
                     OocError, Subspace, SubspaceError, VerificationReport,
                     build_ooc, construct_g, field_create)
 from oocgen.field import find_irreducible_factor
+from oocgen.kernel import _BlockStack
 
 
 def bits(X):
@@ -493,6 +494,29 @@ def canonical_sidon_f64():
         if ok:
             return U
     raise AssertionError("no Sidon space found in F_64")
+
+
+def stack_calls(monkeypatch, *modules):
+    """Make every block stack in modules record [counts, pushes] in the
+    returned list, one entry per stack made."""
+    calls = []
+
+    class Counting(_BlockStack):
+        def __init__(self, n):
+            super().__init__(n)
+            calls.append([0, 0])
+
+        def count(self, X):
+            calls[-1][0] += 1
+            return super().count(X)
+
+        def push(self):
+            calls[-1][1] += 1
+            super().push()
+
+    for module in modules:
+        monkeypatch.setattr(module, "_BlockStack", Counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from conftest import canonical_sidon_f64
-from oocgen import CyclicSubspaceCode, build_coset_family, construct_g, s_of_w
+from oocgen import (CyclicSubspaceCode, build_coset_family, code_from_dict,
+                    construct_g, s_of_w)
 from oocgen.cli import main
+from oocgen.subspaces import _orbit_proof
 
 ARTEFACTS = ("ooc", "oos.json", "code.json", "report.json")
 
@@ -155,6 +157,21 @@ GOLDEN_CODE_FILES = {
         "a4cae20a53a97a7d299c6e15ccbe3624b289f9efa12e8a29bf7b28d3379adbd1",
     ],
 }
+
+
+# build_ooc stops its word sweep early only where the orbit proof holds,
+# so every golden code must take that route
+
+@pytest.mark.parametrize("q,k", list(GOLDEN), ids=lambda v: str(v))
+def test_orbit_proof_holds_at_every_golden_code(q, k):
+    code = construct_g(q, k, 1)
+    assert _orbit_proof(code, build_coset_family(code).cosets)
+
+
+@pytest.mark.parametrize("name", list(CODE_FILES))
+def test_orbit_proof_holds_at_the_q2_code_files(name):
+    code = code_from_dict(CODE_FILES[name])
+    assert _orbit_proof(code, build_coset_family(code).cosets)
 
 
 def test_sidon_code_file_is_the_canonical_sidon_f64():

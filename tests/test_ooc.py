@@ -16,7 +16,7 @@ from oocgen.kernel import _BlockStack, _peak
 from oocgen.ooc import read_ooc_text, support, unsupport, write_ooc_text
 from conftest import (bit_corr, bit_level_ooc_ok, bits, check_field_conditions,
                       inverse, log_of, pair_difference_counts, pair_verify_oos,
-                      shift, strictly_increasing)
+                      shift, stack_calls, strictly_increasing)
 
 
 F81 = field_create(3, 4)
@@ -604,6 +604,55 @@ def test_verify_oos_witness_is_lowest_pair_then_smallest_tau():
     sets = [IndexSet(7, frozenset(m)) for m in ({0}, {5}, {0})]
     cross = verify_oos(sets, 1).witnesses[1]
     assert cross == {"kind": "cross", "words": [0, 1], "tau": 2, "value": 1}
+
+
+@st.composite
+def _bounded_family(draw):
+    """2-8 words of equal weight in Z_n, n = r b <= 64.  Each word is a
+    set of residues modulo b lifted to all r of its classes, so for r > 1
+    every auto peak is w, as at a G code every auto peak is lam; about a
+    third are cyclic shifts of earlier words, which tie the cross peak at
+    w at pairs beyond (0, 1)."""
+    r = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 64 // r))
+    u = draw(st.integers(0, b))
+    base = st.frozensets(st.integers(0, b - 1), min_size=u, max_size=u)
+    lift = lambda m: {x + b * i for x in m for i in range(r)}
+    words = [lift(draw(base))]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.integers(0, 2)) == 0:
+            tau = draw(st.integers(0, r * b - 1))
+            words.append({(a + tau) % (r * b)
+                          for a in draw(st.sampled_from(words))})
+        else:
+            words.append(lift(draw(base)))
+    return [IndexSet(r * b, m) for m in words]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_family())
+def test_verify_oos_with_a_true_bound_reports_the_full_sweep(sets):
+    full = verify_oos(sets, 0)
+    top = max(full.max_auto, full.max_cross)
+    assert verify_oos(sets, top, bound=top) == verify_oos(sets, top)
+
+
+@pytest.mark.parametrize("words,columns", [
+    # auto 2 at word 0 and cross 2 at (0, 1): fixed after column 1
+    ([{0, 4}, {4, 0}, {1, 2}, {5, 6}], 2),
+    # (1, 2) reaches 2 before (0, 3), the lower pair: fixed after column 3
+    ([{0, 4}, {0, 1}, {3, 4}, {1, 5}, {2, 6}, {0, 2}], 4),
+    # auto 2 at word 0 while (0, 1) holds 1; the cross 2 is at (1, 2) only
+    ([{0, 4}, {0, 1}, {2, 3}, {5, 6}], 4),
+])
+def test_verify_oos_stops_once_both_witnesses_are_fixed(monkeypatch, words,
+                                                        columns):
+    sets = [IndexSet(8, m) for m in words]
+    full = verify_oos(sets, 2)
+    calls = stack_calls(monkeypatch, ooc)
+    assert verify_oos(sets, 2, bound=2) == full
+    assert calls == [[columns, columns]]
+    _assert_same_report_as_pair_loop(sets, 2)
 
 
 def test_verify_oos_refuses_mixed_moduli():

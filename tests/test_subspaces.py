@@ -6,24 +6,27 @@ conftest; the library's own sweep is code_min_distance.
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oocgen import (CyclicSubspaceCode, Subspace, SubspaceError,
-                    build_coset_family, build_ooc, code_min_distance,
-                    construct_g, construct_w, coset_representatives,
-                    field_create)
+from oocgen import (CosetFamily, CyclicSubspaceCode, Subspace, SubspaceError,
+                    VerificationError, build_coset_family, build_ooc,
+                    code_min_distance, construct_g, construct_w,
+                    coset_representatives, field_create)
 from oocgen import ooc, s_of_w, subspaces, verify_oos
+from oocgen.cli import main
 from conftest import (canonical_sidon_f64, code_size, combinations_set,
                       coset_word_ok, field_coset_family, gaussian_binomial,
                       greedy_coset_representatives, is_multi_sidon,
                       is_sidon, log_minus_one, log_of, norm_conditions,
                       orbit_size, orbit_words_cover_once, neg,
                       pair_difference_counts, rank_dim_intersection, scaled,
-                      span_set, strictly_increasing, sub, w_and_xi)
+                      span_set, stack_calls, strictly_increasing, sub,
+                      w_and_xi)
 
 
 F81 = field_create(3, 4)
@@ -288,35 +291,12 @@ def test_code_min_distance_vs_pair_loop_on_multi_orbit_codes(reps):
     assert code_min_distance(code) == 2 * k - 2 * most
 
 
-def _stack_calls(monkeypatch, *modules):
-    """Make every block stack in modules record [counts, pushes] in the
-    returned list, one entry per stack made."""
-    calls = []
-
-    class Counting(subspaces._BlockStack):
-        def __init__(self, n):
-            super().__init__(n)
-            calls.append([0, 0])
-
-        def count(self, X):
-            calls[-1][0] += 1
-            return super().count(X)
-
-        def push(self):
-            calls[-1][1] += 1
-            super().push()
-
-    for module in modules:
-        monkeypatch.setattr(module, "_BlockStack", Counting)
-    return calls
-
-
 def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
                                                        pipeline_q3,
                                                        pipeline_q5):
     # one stack counts and pushes each of the r representatives once:
     # U_j's count holds the blocks i <= j, r(r + 1)/2 orbit pairs in all
-    calls = _stack_calls(monkeypatch, subspaces)
+    calls = stack_calls(monkeypatch, subspaces)
     for code in (pipeline_q3[0], pipeline_q5[0]):
         d = code.min_distance
         calls.clear()
@@ -328,13 +308,51 @@ def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
 def test_construct_sweeps_orbit_pairs_once(monkeypatch):
     # the distance is counted once per code: build_ooc and the coset
     # family's disjointness check read it, and verify_oos counts the words
-    calls = _stack_calls(monkeypatch, subspaces, ooc)
+    # until both witnesses are fixed
+    calls = stack_calls(monkeypatch, subspaces, ooc)
     code = construct_g(7, 2, 1)
     _, params, _ = build_ooc(code)
-    # r = 3 orbits, then r * t = 24 words
-    assert calls == [[3, 3], [24, 24]]
+    # r = 3 orbits; the orbit proof holds, so of r * t = 24 words the
+    # sweep counts words 0 and 1: word 0 reaches lam alone, (0, 1) with it
+    assert calls == [[3, 3], [2, 2]]
     assert params.lam == 7 ** (2 - code.min_distance // 2)
-    assert code.orbits_disjoint() and calls == [[3, 3], [24, 24]]
+    assert code.orbits_disjoint() and calls == [[3, 3], [2, 2]]
+
+
+def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
+        monkeypatch):
+    # the last word replaced by the F_7-multiple omega^g X_22 of the word
+    # before it: still a coset of its orbit's subspace, so check (a) holds,
+    # but (b) fails, and X_22 meets it in all w = 49 members.  That excess
+    # sits in the last column, which an early stop at (0, 1) never reaches
+    code = construct_g(7, 2, 1)
+    words = list(build_coset_family(code).cosets)
+    N, g = code.field.N, code.field.subfield_stride(7)
+    words[-1] = tuple(sorted((x + g) % N for x in words[-2]))
+    monkeypatch.setattr(subspaces, "build_coset_family",
+                        lambda code: CosetFamily(tuple(words)))
+    calls = stack_calls(monkeypatch, ooc)
+    with pytest.raises(VerificationError) as exc:
+        build_ooc(code)
+    assert calls == [[24, 24]]
+    report = exc.value.report
+    assert report.max_cross == 49 and report.witnesses[1]["words"] == [22, 23]
+    sets = [s_of_w(code.field, W) for W in words]
+    assert verify_oos(sets, 7, bound=7).passed  # the stop would miss it
+
+
+def test_verify_sweeps_every_word(monkeypatch, tmp_path, capsys):
+    # verify reads words without orbits, so it never stops early; its
+    # report is construct's, which stopped after word 1
+    out = tmp_path / "q7"
+    assert main(["construct", "--q", "7", "--k", "2", "--s", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    calls = stack_calls(monkeypatch, ooc)
+    assert main(["verify", f"{out}.ooc"]) == 0
+    assert calls == [[24, 24]]
+    report = json.loads((tmp_path / "q7.report.json").read_text())
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
 
 def test_min_distance_single_subspace_rejected():
@@ -613,13 +631,15 @@ def test_coset_representatives_lead_their_family_words(case):
 @pytest.mark.parametrize("q,k", G_CODES)
 def test_orbit_checks_agree_with_the_word_sweep(q, k):
     # checks (a) and (b) with the orbit sweep bound every word correlation
-    # by lambda; verify_oos sweeps every word pair: both verdicts pass
+    # by lambda; verify_oos sweeps every word pair: both verdicts pass, and
+    # so does the library's own proof
     code, orbits = _orbits((q, k))
     f = code.field
     neg1 = log_minus_one(f)
     for U, words in orbits:
         assert all(coset_word_ok(U, W, neg1) for W in words)
         assert orbit_words_cover_once(U, words)
+    assert subspaces._orbit_proof(code, build_coset_family(code).cosets)
     lam = q ** (k - code.min_distance // 2)
     sets = [s_of_w(f, W) for _, words in orbits for W in words]
     assert verify_oos(sets, lam).passed
@@ -637,6 +657,37 @@ def test_orbit_checks_agree_with_the_word_sweep(q, k):
     # so (a) fails at every word
     wrong = (neg1 + f.subfield_stride(q)) % f.N
     assert not any(coset_word_ok(U, V, wrong) for V in words)
+
+
+@pytest.mark.parametrize("q,k", [(5, 2), (7, 2), (5, 3)])
+def test_orbit_proof_fails_on_each_corrupted_family(q, k):
+    # each corruption breaks exactly one of the oracle checks (a) and (b),
+    # so the proof must make both
+    code, orbits = _orbits((q, k))
+    words = build_coset_family(code).cosets
+    f, (U, block), t = code.field, orbits[-1], len(orbits[-1][1])
+    N, g, neg1 = f.N, f.subfield_stride(q), log_minus_one(f)
+    assert subspaces._orbit_proof(code, words)
+
+    def last(word):  # the family with its last word replaced
+        return words[:-1] + (tuple(sorted(word)),)
+
+    # one member moved to its F_q-multiple omega^g y: its class, so (b)
+    # holds, but the word is no longer a coset, so (a) fails
+    W = block[-1]
+    moved = last(W[:-1] + ((W[-1] + g) % N,))
+    assert orbit_words_cover_once(U, moved[-t:])
+    assert not coset_word_ok(U, moved[-1], neg1)
+    # an F_q-multiple of another word of the orbit: a coset of U, so (a)
+    # holds, but its classes are that word's, so (b) fails
+    multiple = last((x + g) % N for x in block[0])
+    assert coset_word_ok(U, multiple[-1], neg1)
+    assert not orbit_words_cover_once(U, multiple[-t:])
+    # the first two orbits' blocks swapped: every word is checked against
+    # the other orbit's subspace
+    swapped = words[t:2 * t] + words[:t] + words[2 * t:]
+    for family in (moved, multiple, swapped):
+        assert not subspaces._orbit_proof(code, family)
 
 
 def test_coset_family_q3(pipeline_q3):
