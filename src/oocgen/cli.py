@@ -3,13 +3,12 @@
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
 data errors and on running out of memory.  Every construct run
 self-verifies before writing any file, and writes its four files under
-temporary names first, so they appear all or none.  construct proves lambda
-from the orbit sweep and exact checks of its words, then takes the report
-from a word sweep that stops once the report is fixed (the full sweep if a
-check fails); verify reads words without orbits, so it runs the full word
-sweep.  Each command imports
-only the layers it runs, so verify and bound load neither the field nor the
-subspace layer.
+temporary names first, so they appear all or none.  construct takes its
+report from words 0 and 1 once the orbit proof holds (the orbit sweep and
+exact checks of its words prove lambda), and otherwise runs the full word
+sweep; verify reads words without orbits, so it always runs the full sweep.
+Each command imports only the layers it runs, so verify and bound load
+neither the field nor the subspace layer.
 """
 
 import contextlib

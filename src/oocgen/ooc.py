@@ -125,8 +125,9 @@ class VerificationReport:
         }
 
 
-def verify_oos(sets, lam, *, bound=None):
-    """Brute-force verification of the OOS conditions at level lam.
+def verify_oos(sets, lam):
+    """Brute-force verification of the OOS conditions at level lam, over
+    every word and every pair.
 
     All members must share the modulus and have equal size.  The report
     carries the exact maxima and the first witness of each: the lowest word,
@@ -134,13 +135,6 @@ def verify_oos(sets, lam, *, bound=None):
     maximum, then its smallest tau.  One _BlockStack counts and pushes each
     word j in turn: _peak over its own mask less tau = 0 and over its below
     mask gives its largest auto- and cross-correlation, and first (i, tau).
-
-    A caller that has proven every count <= bound may pass it: the sweep
-    stops after the first column j where the auto witness holds bound and
-    the cross witness holds bound at a pair (0, j).  Neither can change
-    after that, since a witness is replaced only by a larger value or, for
-    a pair, by an equal value at a lower i, and the report is the full
-    sweep's.  Without bound, or if that never happens, every column runs.
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
@@ -170,9 +164,6 @@ def verify_oos(sets, lam, *, bound=None):
                                                -cross["words"][0]):
                     cross = {"kind": "cross", "words": [i, j], "tau": tau,
                              "value": v}
-                if (auto["value"] == cross["value"] == bound
-                        and cross["words"][0] == 0):
-                    break
     except OverflowError:
         raise OocError(f"modulus n = {n} is too large to verify") from None
     max_auto, max_cross = auto["value"], cross["value"] if cross else 0
@@ -260,10 +251,10 @@ def build_ooc(code):
 
     Declares n = q^m - 1, w = q^k, lam = q^(k - d/2) and size r*t, and
     raises VerificationError unless the word sweep passes.  Where the
-    family passes subspaces._orbit_proof, the orbit sweep and two exact
-    checks per word prove every count <= lam, so the word sweep stops as
-    soon as its report is fixed: it is byte for byte the full sweep's.
-    Otherwise the full sweep runs.
+    family passes subspaces._orbit_proof, which proves every count <= lam
+    and gives every word q^k members, a report of words 0 and 1 with both
+    maxima at lam is the full sweep's: (0, 1) is the first pair.  Otherwise
+    the full sweep runs.
     """
     from .subspaces import _orbit_proof, build_coset_family
     d = code.min_distance
@@ -275,7 +266,9 @@ def build_ooc(code):
     sets = [s_of_w(fld, coset) for coset in family.cosets]
     size = len(sets)
     proven = _orbit_proof(code, family.cosets)
-    report = verify_oos(sets, lam, bound=lam if proven else None)
+    report = verify_oos(sets[:2] if proven else sets, lam)
+    if proven and not report.max_auto == report.max_cross == lam:
+        report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)
     params = OocParams(n, w, lam, size, johnson_bound(n, w, lam),

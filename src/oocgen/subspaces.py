@@ -17,6 +17,7 @@ tells a short orbit.
 """
 
 import functools
+import itertools
 import math
 
 from .field import (factor_prime_power, field_from_descriptor,
@@ -251,7 +252,8 @@ def construct_g(q, k, s):
 
     sub = (-1, *range(0, N, w))  # F_{q^k}: zero and the powers of w
     b = next(b for b in sub if not any(root(t, b) for t in sub))
-    xi = next(t for t in range(N) if root(t, b))
+    # both roots have norm xi^(q^k + 1) = w, so log xi = 1 mod q^k - 1
+    xi = next(t for t in range(1, N, q ** k - 1) if root(t, b))
     reps = [construct_w(fld, q, k, s, w * i % N, xi)
             for i in range((q - 1) // 2)]
     return CyclicSubspaceCode(fld, q, tuple(reps))
@@ -344,7 +346,9 @@ def _orbit_proof(code, cosets):
         and omega^y - omega^x0 = omega^(x0 + h)(1 + omega^(y - x0 + h)),
         h = log(-1), runs over U_a^* as y runs over the other members;
     (b) U_a's classes and the residues modulo g = N/(q - 1) of the words'
-        members are range(g), each once.
+        members are range(g), each once: the classes and members number g
+        and, marked in a bytearray(g) as _coset_scan marks them, leave no
+        residue unmarked.
     Two affine cosets meet in nothing or in a coset of the intersection of
     their subspaces, so |X_i ∩ (X_j + tau)| <= |U_a ∩ omega^tau U_b|, which
     the orbit sweep bounds by lam unless omega^tau U_a = U_a, tau a multiple
@@ -368,7 +372,9 @@ def _orbit_proof(code, cosets):
             if sorted((x0 + h + zech[(y - x0 + h) % N]) % N
                       for y in word if y != x0) != span_nz:
                 return False
-        residues = [x % g for word in words for x in word]
-        if sorted([*U.classes, *residues]) != list(range(g)):
+        marks = bytearray(g)
+        for x in itertools.chain(U.classes, *words):
+            marks[x % g] = 1
+        if len(U.classes) + t * size != g or 0 in marks:
             return False
     return True

@@ -159,8 +159,8 @@ GOLDEN_CODE_FILES = {
 }
 
 
-# build_ooc stops its word sweep early only where the orbit proof holds,
-# so every golden code must take that route
+# build_ooc takes its report from words 0 and 1 only where the orbit proof
+# holds, so every golden code must take that route
 
 @pytest.mark.parametrize("q,k", list(GOLDEN), ids=lambda v: str(v))
 def test_orbit_proof_holds_at_every_golden_code(q, k):

@@ -1,5 +1,6 @@
 """Index sets, correlation maxima, field-side conditions, bounds, pipeline."""
 
+import inspect
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
-from oocgen import (IndexSet, OocCode, OocError, build_coset_family, build_ooc,
+from oocgen import (CosetFamily, CyclicSubspaceCode, IndexSet, OocCode,
+                    OocError, Subspace, build_coset_family, build_ooc,
                     construct_g, field_create, johnson_bound, optimality_ratio,
                     params_table, s_of_w, verify_oos)
 from oocgen import field, kernel, ooc, subspaces
@@ -632,26 +634,51 @@ def _bounded_family(draw):
 @settings(max_examples=300, deadline=None)
 @given(_bounded_family())
 def test_verify_oos_with_a_true_bound_reports_the_full_sweep(sets):
+    # every count is <= top, so words 0 and 1 holding top in both maxima
+    # fix the report: build_ooc's rule once the orbit proof holds
     full = verify_oos(sets, 0)
     top = max(full.max_auto, full.max_cross)
-    assert verify_oos(sets, top, bound=top) == verify_oos(sets, top)
+    head = verify_oos(sets[:2], top)
+    if head.max_auto == head.max_cross == top:
+        assert head == verify_oos(sets, top)
+
+
+def test_verify_oos_has_no_bound():
+    # verify_oos is the full sweep only; build_ooc picks the words it sweeps
+    assert "bound" not in inspect.signature(verify_oos).parameters
 
 
 @pytest.mark.parametrize("words,columns", [
-    # auto 2 at word 0 and cross 2 at (0, 1): fixed after column 1
-    ([{0, 4}, {4, 0}, {1, 2}, {5, 6}], 2),
-    # (1, 2) reaches 2 before (0, 3), the lower pair: fixed after column 3
-    ([{0, 4}, {0, 1}, {3, 4}, {1, 5}, {2, 6}, {0, 2}], 4),
+    # auto 2 at word 0 and cross 2 at (0, 1): words 0 and 1 fix the report
+    ([{0, 1, 3, 4}, {4, 7, 17, 18}, {11, 15, 19, 29}, {2, 18, 19, 20}], 2),
+    # (0, 1) holds 1; (1, 2) reaches 2 before (0, 3), the lower pair
+    ([{0, 1, 3, 4}, {1, 9, 18, 24}, {7, 13, 18, 28}, {8, 19, 21, 27}], 4),
     # auto 2 at word 0 while (0, 1) holds 1; the cross 2 is at (1, 2) only
-    ([{0, 4}, {0, 1}, {2, 3}, {5, 6}], 4),
+    ([{0, 1, 3, 4}, {0, 6, 13, 23}, {0, 12, 18, 26}, {4, 9, 14, 29}], 4),
+    # cross 2 at (0, 1) while words 0 and 1 hold auto 1; word 2 reaches 2
+    ([{0, 7, 15, 26}, {16, 19, 20, 30}, {1, 14, 21, 23}, {17, 21, 25, 27}],
+     4),
 ])
 def test_verify_oos_stops_once_both_witnesses_are_fixed(monkeypatch, words,
                                                         columns):
-    sets = [IndexSet(8, m) for m in words]
+    # build_ooc's route on a family whose every count is <= lam = 2: the
+    # F_32 code of two orbits of planes over F_2 has d = 2, so lam = 2 and
+    # n = 31; its coset family is replaced by the words, and its orbit
+    # proof is taken to hold.  Words 0 and 1 are swept first; unless both of
+    # their maxima are lam, the full sweep of columns = 4 words follows
+    f32 = field_create(2, 5)
+    code = CyclicSubspaceCode(f32, 2, (Subspace(f32, 2, [0, 1]),
+                                       Subspace(f32, 2, [0, 2])))
+    assert code.min_distance == 2
+    sets = [IndexSet(31, m) for m in words]
     full = verify_oos(sets, 2)
+    assert max(full.max_auto, full.max_cross) == 2
+    family = CosetFamily(tuple(X.members for X in sets))
+    monkeypatch.setattr(subspaces, "build_coset_family", lambda code: family)
+    monkeypatch.setattr(subspaces, "_orbit_proof", lambda code, cosets: True)
     calls = stack_calls(monkeypatch, ooc)
-    assert verify_oos(sets, 2, bound=2) == full
-    assert calls == [[columns, columns]]
+    assert build_ooc(code)[2] == full
+    assert calls == [[2, 2]] + ([[columns, columns]] if columns > 2 else [])
     _assert_same_report_as_pair_loop(sets, 2)
 
 

@@ -307,8 +307,8 @@ def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
 
 def test_construct_sweeps_orbit_pairs_once(monkeypatch):
     # the distance is counted once per code: build_ooc and the coset
-    # family's disjointness check read it, and verify_oos counts the words
-    # until both witnesses are fixed
+    # family's disjointness check read it, and verify_oos counts words 0
+    # and 1, which fix the report
     calls = stack_calls(monkeypatch, subspaces, ooc)
     code = construct_g(7, 2, 1)
     _, params, _ = build_ooc(code)
@@ -324,7 +324,7 @@ def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
     # the last word replaced by the F_7-multiple omega^g X_22 of the word
     # before it: still a coset of its orbit's subspace, so check (a) holds,
     # but (b) fails, and X_22 meets it in all w = 49 members.  That excess
-    # sits in the last column, which an early stop at (0, 1) never reaches
+    # sits in the last column, which a sweep of words 0 and 1 never reaches
     code = construct_g(7, 2, 1)
     words = list(build_coset_family(code).cosets)
     N, g = code.field.N, code.field.subfield_stride(7)
@@ -338,12 +338,12 @@ def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
     report = exc.value.report
     assert report.max_cross == 49 and report.witnesses[1]["words"] == [22, 23]
     sets = [s_of_w(code.field, W) for W in words]
-    assert verify_oos(sets, 7, bound=7).passed  # the stop would miss it
+    assert verify_oos(sets[:2], 7).passed  # words 0 and 1 would miss it
 
 
 def test_verify_sweeps_every_word(monkeypatch, tmp_path, capsys):
-    # verify reads words without orbits, so it never stops early; its
-    # report is construct's, which stopped after word 1
+    # verify reads words without orbits, so it sweeps every word; its
+    # report is construct's, taken from words 0 and 1
     out = tmp_path / "q7"
     assert main(["construct", "--q", "7", "--k", "2", "--s", "1",
                  "--out", str(out)]) == 0
@@ -463,10 +463,15 @@ def test_construct_g_meets_the_theorem(q, k):
     assert len(code.representatives) == r
     assert code.min_distance == 2 * k - 2
     assert code.stabiliser_orders == (q - 1,) * r
+    # w_and_xi, the oracle, scans all of range(N) for xi; construct_g scans
+    # only log xi = 1 mod q^k - 1, where both roots lie, and must find the
+    # same one.  construct_w's first basis element is log(1 + xi mu), so
+    # at mu = 0 equal bases fix xi
     w, xi = w_and_xi(f, q, k)
+    assert xi % (q ** k - 1) == 1
     mus = [w * i % f.N for i in range(r)]
-    assert [span_set(U) for U in code.representatives] == [
-        span_set(construct_w(f, q, k, 1, mu, xi)) for mu in mus]
+    assert [U.basis for U in code.representatives] == [
+        construct_w(f, q, k, 1, mu, xi).basis for mu in mus]
     ok, report = norm_conditions(f, q, k, mus, xi)
     assert ok, report
 
@@ -686,7 +691,16 @@ def test_orbit_proof_fails_on_each_corrupted_family(q, k):
     # the first two orbits' blocks swapped: every word is checked against
     # the other orbit's subspace
     swapped = words[t:2 * t] + words[:t] + words[2 * t:]
-    for family in (moved, multiple, swapped):
+    # each block given one word more, an F_q-multiple of its first: every
+    # word is a coset and no residue is left unmarked, but the first
+    # word's classes are marked twice, so (b) fails on its count
+    def grown(block):
+        return block + (tuple(sorted((x + g) % N for x in block[0])),)
+
+    assert coset_word_ok(U, grown(block)[-1], neg1)
+    assert not orbit_words_cover_once(U, grown(block))
+    longer = sum((grown(words[i:i + t]) for i in range(0, len(words), t)), ())
+    for family in (moved, multiple, swapped, longer):
         assert not subspaces._orbit_proof(code, family)
 
 
