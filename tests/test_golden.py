@@ -159,6 +159,41 @@ GOLDEN_CODE_FILES = {
 }
 
 
+# two code files whose words 0 and 1 do not both reach lambda, so build_ooc
+# sweeps every word: the F_64 code over F_2, (63,4,2) size 30, where the
+# pair (0, 1) reaches 1, and the F_729 code over F_3, (728,9,3) size 80,
+# where word 0's autocorrelation reaches 1; each field is its
+# field_for_prime_power(p, e).descriptor(), and the hashes were recorded
+# before the orbit proof tested membership in U by class
+FALLBACK_CODE_FILES = {
+    "f64_fallback": {"field": {"p": 2, "e": 6,
+                               "modulus": [1, 0, 0, 0, 0, 1, 1],
+                               "omega_index": 2},
+                     "orbits": [{"ground_q": 2, "basis": [8, 36]},
+                                {"ground_q": 2, "basis": [54, 51]}]},
+    "f729_fallback": {"field": {"p": 3, "e": 6,
+                                "modulus": [1, 0, 0, 0, 1, 1, 1],
+                                "omega_index": 4},
+                      "orbits": [{"ground_q": 3, "basis": [137, 582]},
+                                 {"ground_q": 3, "basis": [64, 261]}]},
+}
+
+GOLDEN_FALLBACK_CODE_FILES = {
+    "f64_fallback": [
+        "9eefad8465e0f0fface34c2001851523f5c243f5981c1115dd3da70e9bc20894",
+        "9f44740b3608302b926b996a622e27eb6c1e2625f727b5871ed5d3971aff9566",
+        "4d3fe062ba16ab08ae8a6d6691e485c2baa5d6cc3ca1fadbe8ca5b14ee75311c",
+        "6f8b601ca459e747db379d498320245140e1fa14e0691ec253b9ccf6df52e6c8",
+    ],
+    "f729_fallback": [
+        "fcf2af8fb359724524dd653963fe965cc348ae82242a2f397720c162e5c99856",
+        "e282c488ed5a360af9d9f6cabe2157daa73306bee946400df95f4ced656d3f29",
+        "a4041b9c80ad1e98997dcf5483c1ad7276879bac05c17bbdde5d65c70f001007",
+        "7b22c22ac99e48cf0ee260e958bc5d1712711ccb4d05873b6666ef5385f2a126",
+    ],
+}
+
+
 # build_ooc takes its report from words 0 and 1 only where the orbit proof
 # holds, so every golden code must take that route
 
@@ -180,12 +215,24 @@ def test_sidon_code_file_is_the_canonical_sidon_f64():
     assert code.to_dict() == CODE_FILES["sidon_f64"]
 
 
+def _construct_code_file(tmp_path, d):
+    path, out = tmp_path / "code.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
+    return _hashes(out)
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_CODE_FILES))
 def test_construct_from_q2_code_file_matches_golden_hashes(tmp_path, name):
-    path, out = tmp_path / "code.json", tmp_path / "out"
-    path.write_text(json.dumps(CODE_FILES[name]))
-    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
-    assert _hashes(out) == GOLDEN_CODE_FILES[name]
+    hashes = _construct_code_file(tmp_path, CODE_FILES[name])
+    assert hashes == GOLDEN_CODE_FILES[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FALLBACK_CODE_FILES))
+def test_construct_from_fallback_code_file_matches_golden_hashes(tmp_path,
+                                                                  name):
+    hashes = _construct_code_file(tmp_path, FALLBACK_CODE_FILES[name])
+    assert hashes == GOLDEN_FALLBACK_CODE_FILES[name]
 
 
 # sha256 of json.dumps([X.sorted() for X in sets]) for the S(W) sets of
