@@ -3,10 +3,10 @@
 Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage or
 data errors and on running out of memory.  Every construct run
 self-verifies before writing any file, and writes its four files under
-temporary names first, so they appear all or none.  construct takes its
-report from words 0 and 1 once the orbit proof holds (the orbit sweep and
-exact checks of its words prove lambda), and otherwise runs the full word
-sweep; verify reads words without orbits, so it always runs the full sweep.
+temporary names first, so they appear all or none.  construct keeps the
+report of words 0 and 1 when both maxima are lambda and the orbit proof,
+the orbit sweep with exact checks of its words, holds; otherwise it runs
+the full word sweep, which verify, reading words without orbits, always runs.
 Each command imports only the layers it runs, so verify and bound load
 neither the field nor the subspace layer.
 """

@@ -250,24 +250,22 @@ def build_ooc(code):
     """Coset family -> index sets -> verified OOC, from a cyclic subspace code.
 
     Declares n = q^m - 1, w = q^k, lam = q^(k - d/2) and size r*t, and
-    raises VerificationError unless the word sweep passes.  Where the
-    family passes subspaces._orbit_proof, which proves every count <= lam
-    and gives every word q^k members, a report of words 0 and 1 with both
-    maxima at lam is the full sweep's: (0, 1) is the first pair.  Otherwise
-    the full sweep runs.
+    raises VerificationError unless the word sweep passes.  The report of
+    words 0 and 1 stands when both maxima are lam and subspaces._orbit_proof
+    then holds: it bounds every count by lam and gives every word q^k
+    members, and (0, 1) is the first pair.  Otherwise the full sweep runs.
     """
     from .subspaces import _orbit_proof, build_coset_family
     d = code.min_distance
     fld, q, k = code.field, code.ground_q, code.dim
     family = build_coset_family(code)
-    n = fld.N
-    w = q ** k
+    n, w = fld.N, q ** k
     lam = q ** (k - d // 2)
     sets = [s_of_w(fld, coset) for coset in family.cosets]
     size = len(sets)
-    proven = _orbit_proof(code, family.cosets)
-    report = verify_oos(sets[:2] if proven else sets, lam)
-    if proven and not report.max_auto == report.max_cross == lam:
+    report = verify_oos(sets[:2], lam)
+    if not (report.max_auto == report.max_cross == lam
+            and _orbit_proof(code, family.cosets)):
         report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)

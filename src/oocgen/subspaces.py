@@ -17,7 +17,6 @@ tells a short orbit.
 """
 
 import functools
-import itertools
 import math
 
 from .field import (factor_prime_power, field_from_descriptor,
@@ -341,14 +340,15 @@ def _orbit_proof(code, cosets):
     words exceeds lam = q^(k - d/2), d the code's minimum distance.
 
     Each orbit a, full-length, must hold t = len(cosets)/r consecutive
-    words, and:
-    (a) each word is x0 + U_a for its first member x0: it has q^k members,
-        and omega^y - omega^x0 = omega^(x0 + h)(1 + omega^(y - x0 + h)),
-        h = log(-1), runs over U_a^* as y runs over the other members;
-    (b) U_a's classes and the residues modulo g = N/(q - 1) of the words'
-        members are range(g), each once: the classes and members number g
-        and, marked in a bytearray(g) as _coset_scan marks them, leave no
-        residue unmarked.
+    words.  Two bytearray(g) mark residues modulo g = N/(q - 1) as
+    _coset_scan does: in_u U_a's classes, marks those and every member's.
+    (a) Each word has q^k members, and for its first member x0 and each
+    other y, omega^y - omega^x0 = omega^(x0 + h)(1 + omega^(y - x0 + h)),
+    h = log(-1), has its class in in_u.  (b) The classes and members number
+    g and leave no residue unmarked, so each residue is marked once and all
+    members are pairwise distinct.  A word's q^k - 1 differences are then
+    distinct nonzero elements, each in U_a^* as its class is (U_a is
+    F_q-closed), so they are all of U_a^* and the word is x0 + U_a.
     Two affine cosets meet in nothing or in a coset of the intersection of
     their subspaces, so |X_i ∩ (X_j + tau)| <= |U_a ∩ omega^tau U_b|, which
     the orbit sweep bounds by lam unless omega^tau U_a = U_a, tau a multiple
@@ -364,17 +364,19 @@ def _orbit_proof(code, cosets):
         return False
     size = q ** code.dim
     for a, U in enumerate(reps):
-        words, span_nz = cosets[a * t:(a + 1) * t], sorted(_nonzero(U))
-        for word in words:
+        in_u = bytearray(g)
+        for r in U.classes:
+            in_u[r] = 1
+        marks = bytearray(in_u)
+        for word in cosets[a * t:(a + 1) * t]:
             if len(word) != size:
                 return False
             x0 = word[0]
-            if sorted((x0 + h + zech[(y - x0 + h) % N]) % N
-                      for y in word if y != x0) != span_nz:
+            if not all(in_u[(x0 + h + zech[(y - x0 + h) % N]) % g]
+                       for y in word[1:]):
                 return False
-        marks = bytearray(g)
-        for x in itertools.chain(U.classes, *words):
-            marks[x % g] = 1
+            for y in word:
+                marks[y % g] = 1
         if len(U.classes) + t * size != g or 0 in marks:
             return False
     return True

@@ -10,10 +10,11 @@ import json
 
 import pytest
 
-from conftest import canonical_sidon_f64
-from oocgen import (CyclicSubspaceCode, build_coset_family, code_from_dict,
-                    construct_g, s_of_w)
+from conftest import canonical_sidon_f64, stack_calls
+from oocgen import (CyclicSubspaceCode, build_coset_family, build_ooc,
+                    code_from_dict, construct_g, ooc, s_of_w, subspaces)
 from oocgen.cli import main
+from oocgen.field import field_for_prime_power
 from oocgen.subspaces import _orbit_proof
 
 ARTEFACTS = ("ooc", "oos.json", "code.json", "report.json")
@@ -209,30 +210,47 @@ def test_orbit_proof_holds_at_the_q2_code_files(name):
     assert _orbit_proof(code, build_coset_family(code).cosets)
 
 
+@pytest.mark.parametrize("name,m", [("f64_fallback", 30),
+                                    ("f729_fallback", 80)])
+def test_fallback_code_files_sweep_every_word(monkeypatch, name, m):
+    # the proof holds, but words 0 and 1 do not reach lambda in both
+    # maxima, so build_ooc sweeps all m words without running the proof
+    d = FALLBACK_CODE_FILES[name]
+    code = code_from_dict(d)
+    f = code.field
+    assert field_for_prime_power(f.p, f.e).descriptor() == d["field"]
+    assert _orbit_proof(code, build_coset_family(code).cosets)
+
+    def no_proof(code, cosets):
+        raise AssertionError("the orbit proof ran")
+
+    monkeypatch.setattr(subspaces, "_orbit_proof", no_proof)
+    calls = stack_calls(monkeypatch, ooc)
+    _, _, report = build_ooc(code)
+    assert calls == [[2, 2], [m, m]] and report.passed
+
+
 def test_sidon_code_file_is_the_canonical_sidon_f64():
     U = canonical_sidon_f64()
     code = CyclicSubspaceCode(U.field, 2, (U,))
     assert code.to_dict() == CODE_FILES["sidon_f64"]
 
 
-def _construct_code_file(tmp_path, d):
-    path, out = tmp_path / "code.json", tmp_path / "out"
-    path.write_text(json.dumps(d))
-    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
-    return _hashes(out)
-
-
 @pytest.mark.parametrize("name", list(GOLDEN_CODE_FILES))
 def test_construct_from_q2_code_file_matches_golden_hashes(tmp_path, name):
-    hashes = _construct_code_file(tmp_path, CODE_FILES[name])
-    assert hashes == GOLDEN_CODE_FILES[name]
+    path, out = tmp_path / "code.json", tmp_path / "out"
+    path.write_text(json.dumps(CODE_FILES[name]))
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
+    assert _hashes(out) == GOLDEN_CODE_FILES[name]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_FALLBACK_CODE_FILES))
 def test_construct_from_fallback_code_file_matches_golden_hashes(tmp_path,
                                                                   name):
-    hashes = _construct_code_file(tmp_path, FALLBACK_CODE_FILES[name])
-    assert hashes == GOLDEN_FALLBACK_CODE_FILES[name]
+    path, out = tmp_path / "code.json", tmp_path / "out"
+    path.write_text(json.dumps(FALLBACK_CODE_FILES[name]))
+    assert main(["construct", "--code", str(path), "--out", str(out)]) == 0
+    assert _hashes(out) == GOLDEN_FALLBACK_CODE_FILES[name]
 
 
 # sha256 of json.dumps([X.sorted() for X in sets]) for the S(W) sets of

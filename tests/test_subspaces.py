@@ -324,7 +324,9 @@ def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
     # the last word replaced by the F_7-multiple omega^g X_22 of the word
     # before it: still a coset of its orbit's subspace, so check (a) holds,
     # but (b) fails, and X_22 meets it in all w = 49 members.  That excess
-    # sits in the last column, which a sweep of words 0 and 1 never reaches
+    # sits in the last column, which a sweep of words 0 and 1 never
+    # reaches: their report holds lam in both maxima, so the proof runs,
+    # fails, and every word is swept
     code = construct_g(7, 2, 1)
     words = list(build_coset_family(code).cosets)
     N, g = code.field.N, code.field.subfield_stride(7)
@@ -334,7 +336,7 @@ def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
     calls = stack_calls(monkeypatch, ooc)
     with pytest.raises(VerificationError) as exc:
         build_ooc(code)
-    assert calls == [[24, 24]]
+    assert calls == [[2, 2], [24, 24]]
     report = exc.value.report
     assert report.max_cross == 49 and report.witnesses[1]["words"] == [22, 23]
     sets = [s_of_w(code.field, W) for W in words]
@@ -666,8 +668,12 @@ def test_orbit_checks_agree_with_the_word_sweep(q, k):
 
 @pytest.mark.parametrize("q,k", [(5, 2), (7, 2), (5, 3)])
 def test_orbit_proof_fails_on_each_corrupted_family(q, k):
-    # each corruption breaks exactly one of the oracle checks (a) and (b),
-    # so the proof must make both
+    # the first four corruptions each break exactly one of the oracle
+    # checks (a) and (b), so the proof must make both.  The last two keep
+    # every word's length q^k, so (b)'s count holds; a copy of another
+    # member passes the class lookup, and a copy of x0 has no difference
+    # (its Zech entry is -1), so its lookup reads an unrelated class.  Only
+    # (b)'s unmarked test is sure to catch them
     code, orbits = _orbits((q, k))
     words = build_coset_family(code).cosets
     f, (U, block), t = code.field, orbits[-1], len(orbits[-1][1])
@@ -700,8 +706,38 @@ def test_orbit_proof_fails_on_each_corrupted_family(q, k):
     assert coset_word_ok(U, grown(block)[-1], neg1)
     assert not orbit_words_cover_once(U, grown(block))
     longer = sum((grown(words[i:i + t]) for i in range(0, len(words), t)), ())
-    for family in (moved, multiple, swapped, longer):
+    # one member replaced by a copy of another member of its word, or by a
+    # copy of x0: the word repeats a member and leaves a residue unmarked
+    repeated = last(W[:-1] + (W[1],))
+    x0_copy = last(W[:-1] + (W[0],))
+    for V in (repeated, x0_copy):
+        assert len(V[-1]) == q ** k
+        assert not coset_word_ok(U, V[-1], neg1)
+        assert not orbit_words_cover_once(U, V[-t:])
+    for family in (moved, multiple, swapped, longer, repeated, x0_copy):
         assert not subspaces._orbit_proof(code, family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(5, 2), (7, 2)]), st.data())
+def test_orbit_proof_agrees_with_the_oracle_checks(qk, data):
+    # one member of one word moved to any residue, to a copy of another
+    # member, or within its own F_q^*-class (itself included): the proof
+    # holds exactly when every orbit passes the oracle checks (a) and (b)
+    code, orbits = _orbits(qk)
+    N, g = code.field.N, code.field.subfield_stride(qk[0])
+    words = list(build_coset_family(code).cosets)
+    i = data.draw(st.integers(0, len(words) - 1))
+    W = words[i]
+    j = data.draw(st.integers(0, len(W) - 1))
+    y = data.draw(st.one_of(st.integers(0, N - 1), st.sampled_from(W),
+                            st.sampled_from(range(W[j] % g, N, g))))
+    words[i] = tuple(sorted(W[:j] + (y,) + W[j + 1:]))
+    t, neg1 = len(orbits[0][1]), log_minus_one(code.field)
+    blocks = [(U, words[a * t:(a + 1) * t]) for a, (U, _) in enumerate(orbits)]
+    oracle = all(all(coset_word_ok(U, V, neg1) for V in block)
+                 and orbit_words_cover_once(U, block) for U, block in blocks)
+    assert subspaces._orbit_proof(code, tuple(words)) == oracle
 
 
 def test_coset_family_q3(pipeline_q3):
