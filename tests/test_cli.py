@@ -479,6 +479,27 @@ def test_bound_with_size(capsys):
     assert captured.out == "" and "size must be >= 0" in captured.err
 
 
+def test_bound_with_size_prints_its_line_byte_for_byte(capsys):
+    assert main(["bound", "63", "8", "2", "--size", "7"]) == 0
+    assert capsys.readouterr().out == "J(63,8,2) = 11  ratio = 7/11\n"
+
+
+def test_bound_with_size_refuses_a_ratio_over_a_zero_bound(capsys):
+    # J(3,3,0) = 0, so size/J is undefined: a data error, not a traceback
+    assert main(["bound", "3", "3", "0", "--size", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Johnson bound is zero; ratio undefined\n"
+
+
+def test_bound_with_size_names_lambda_before_the_size(capsys):
+    # (n, w, lambda) are checked before the size
+    assert main(["bound", "8", "4", "5", "--size", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lambda must be < w, got lambda=5, w=4\n"
+
+
 def test_bound_past_the_digit_budget_is_data_error(capsys):
     # each step multiplies the running value by about 10^6, so it passes
     # the budget long before lambda = 10^5 steps
@@ -525,6 +546,17 @@ def test_table_command(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"table spec {spec!r} is not of the form q,k" in captured.err
+
+
+def test_table_prints_its_rows_byte_for_byte(capsys):
+    assert main(["table", "3,2", "4,2", "5,2", "7,2"]) == 0
+    assert capsys.readouterr().out == (
+        "   q   k          n      w  lambda   size      johnson ratio\n"
+        "   3   2         80      9       3      4          145 4/145\n"
+        "   4   2        255     16       4      5         7400 1/1480\n"
+        "   5   2        624     25       5     12       701469 4/233823\n"
+        "   7   2       2400     49       7     24  24497168350 "
+        "12/12248584175\n")
 
 
 def test_out_of_memory_is_data_error(monkeypatch, capsys):
