@@ -17,8 +17,7 @@ _HOMES = {
                   "coset_representatives", "subspace_to_dict"),
     "ooc": ("IndexSet", "OocCode", "OocError", "OocParams",
             "VerificationError", "VerificationReport", "build_ooc",
-            "johnson_bound", "optimality_ratio", "params_table", "s_of_w",
-            "verify_oos"),
+            "johnson_bound", "params_table", "s_of_w", "verify_oos"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 _SUBMODULES = ("cli", "field", "kernel", "ooc", "subspaces")

@@ -16,8 +16,8 @@ import json
 import os
 import sys
 
-from .ooc import (OocError, VerificationError, build_ooc, johnson_bound,
-                  oos_from_dict, oos_to_dict, optimality_ratio, params_table,
+from .ooc import (OocError, OocParams, VerificationError, build_ooc,
+                  johnson_bound, oos_from_dict, oos_to_dict, params_table,
                   read_ooc_text, verify_oos, write_json, write_ooc_text)
 
 
@@ -108,12 +108,11 @@ def _cmd_verify(args):
 
 
 def _cmd_bound(args):
-    j = johnson_bound(args.n, args.w, args.lam)
-    if args.size is not None:
-        ratio = optimality_ratio(args.size, args.n, args.w, args.lam)
-        print(f"J({args.n},{args.w},{args.lam}) = {j}  ratio = {ratio}")
+    if args.size is None:
+        print(johnson_bound(args.n, args.w, args.lam))
     else:
-        print(j)
+        p = OocParams(args.n, args.w, args.lam, args.size)
+        print(f"J({p.n},{p.w},{p.lam}) = {p.johnson}  ratio = {p.ratio}")
     return 0
 
 
@@ -129,10 +128,9 @@ def _cmd_table(args):
     rows = params_table(specs)
     print(f"{'q':>4} {'k':>3} {'n':>10} {'w':>6} {'lambda':>7} "
           f"{'size':>6} {'johnson':>12} ratio")
-    for row in rows:
-        print(f"{row['q']:>4} {row['k']:>3} {row['n']:>10} {row['w']:>6} "
-              f"{row['lambda']:>7} {row['size']:>6} {row['johnson']:>12} "
-              f"{row['ratio']}")
+    for q, k, p in rows:
+        print(f"{q:>4} {k:>3} {p.n:>10} {p.w:>6} {p.lam:>7} {p.size:>6} "
+              f"{p.johnson:>12} {p.ratio}")
     return 0
 
 

@@ -209,27 +209,26 @@ def johnson_bound(n, w, lam):
     return t // w
 
 
-def optimality_ratio(size, n, w, lam):
-    """size / J(n, w, lam) as an exact rational."""
-    if size < 0:
-        raise OocError(f"size must be >= 0, got size={size}")
-    j = johnson_bound(n, w, lam)
-    if j == 0:
-        raise OocError("Johnson bound is zero; ratio undefined")
-    from fractions import Fraction  # a few ms at import, so only here
-    return Fraction(size, j)
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
 
 class OocParams:
+    """One parameter row: (n, w, lam), the size, J(n, w, lam) and size/J as
+    an exact rational.  J's own refusals come first, then a negative size
+    and a zero J, over which the ratio is undefined."""
+
     __slots__ = ("n", "w", "lam", "size", "johnson", "ratio")
 
-    def __init__(self, n, w, lam, size, johnson, ratio):
+    def __init__(self, n, w, lam, size):
+        j = johnson_bound(n, w, lam)
+        if size < 0:
+            raise OocError(f"size must be >= 0, got size={size}")
+        if j == 0:
+            raise OocError("Johnson bound is zero; ratio undefined")
+        from fractions import Fraction  # a few ms at import, so only here
         self.n, self.w, self.lam = n, w, lam
-        self.size, self.johnson, self.ratio = size, johnson, ratio
+        self.size, self.johnson, self.ratio = size, j, Fraction(size, j)
 
     def to_dict(self):
         return {"n": self.n, "w": self.w, "lambda": self.lam,
@@ -262,34 +261,29 @@ def build_ooc(code):
     n, w = fld.N, q ** k
     lam = q ** (k - d // 2)
     sets = [s_of_w(fld, coset) for coset in family.cosets]
-    size = len(sets)
     report = verify_oos(sets[:2], lam)
     if not (report.max_auto == report.max_cross == lam
             and _orbit_proof(code, family.cosets)):
         report = verify_oos(sets, lam)
     if not report.passed:
         raise VerificationError(report)
-    params = OocParams(n, w, lam, size, johnson_bound(n, w, lam),
-                       optimality_ratio(size, n, w, lam))
+    params = OocParams(n, w, lam, len(sets))
     return OocCode(n, w, lam, tuple(sets)), params, report
 
 
 def params_table(specs):
-    """Parameter rows (n, w, lam, size, J, ratio) for G-construction specs.
+    """A (q, k, OocParams) row for each G-construction spec (q, k).
 
-    Each spec is a (q, k) pair; size follows the floor((q-1)/2)(q^k-1)/(q-1)
-    count and the weight column is q^k.  Specs outside construct_g's
-    domain are rejected.
+    The row is (q^(2k) - 1, q^k, q) with size floor((q-1)/2)(q^k-1)/(q-1),
+    as build_ooc declares for construct_g(q, k, s).  Specs outside
+    construct_g's domain are rejected.
     """
     from .subspaces import check_g_params
     rows = []
     for q, k in specs:
         check_g_params(q, k)
-        n, w, lam = q ** (2 * k) - 1, q ** k, q
-        size = (q - 1) // 2 * (q ** k - 1) // (q - 1)
-        rows.append({"q": q, "k": k, "n": n, "w": w, "lambda": lam,
-                     "size": size, "johnson": johnson_bound(n, w, lam),
-                     "ratio": optimality_ratio(size, n, w, lam)})
+        rows.append((q, k, OocParams(q ** (2 * k) - 1, q ** k, q,
+                                     (q - 1) // 2 * (q ** k - 1) // (q - 1))))
     return rows
 
 

@@ -163,10 +163,11 @@ def _orbit_sweep(code):
     counts and pushes the classes of each U_j: c[a] = the number of
     F_q^*-classes in U_i ∩ omega^a U_j, i <= j.  Its own mask's peak, all
     of U_j's classes at a = 0, is U_j's stabiliser modulo F_q^*, left out
-    of the distance; each of its residues stands for q - 1 scalars.  The
-    rest of own and all of below are walked peak by peak from the top: a
-    subspace of dimension e holds (q^e - 1)/(q - 1) classes, looked up
-    among e = 0..k.
+    of the distance; each of its residues stands for q - 1 scalars.  Over
+    the rest of own and all of below only the peak is read: a subspace of
+    dimension e holds (q^e - 1)/(q - 1) classes, looked up among e = 0..k,
+    and that count rises with e, so the largest count is the largest
+    intersection.
     """
     q, k = code.ground_q, code.dim
     dims = {(q ** e - 1) // (q - 1): e for e in range(k + 1)}
@@ -178,10 +179,8 @@ def _orbit_sweep(code):
         _, stab = _peak(planes, own)
         orders.append((q - 1) * stab.bit_count())
         region = below | own ^ stab  # stab lies in own
-        while region:
-            v, bits = _peak(planes, region)
-            most = max(most, dims[v])
-            region ^= bits  # bits lie in region
+        if region:
+            most = max(most, dims[_peak(planes, region)[0]])
     if most < 0:  # one orbit of size 1: no pair of distinct codewords
         raise SubspaceError("minimum distance of a single-subspace code "
                             "is undefined")

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oocgen import cli, field, ooc
 from oocgen.cli import main
+from oocgen.ooc import johnson_bound
 from conftest import bit_level_ooc_ok, canonical_sidon_f64, poly_exp_table
 from oocgen import (CyclicSubspaceCode, code_from_dict, construct_g,
                     field_create, field_from_descriptor, subspace_to_dict)
@@ -498,6 +499,27 @@ def test_bound_with_size_names_lambda_before_the_size(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lambda must be < w, got lambda=5, w=4\n"
+
+
+def test_each_row_computes_johnson_once(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def counted(n, w, lam):
+        calls.append((n, w, lam))
+        return johnson_bound(n, w, lam)
+
+    monkeypatch.setattr(ooc, "johnson_bound", counted)
+    monkeypatch.setattr(cli, "johnson_bound", counted)
+    assert main(["construct", "--q", "3", "--k", "2", "--s", "1",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert calls == [(80, 9, 3)]
+    calls.clear()
+    assert main(["table", "3,2", "5,2"]) == 0
+    assert calls == [(80, 9, 3), (624, 25, 5)]
+    calls.clear()
+    assert main(["bound", "63", "8", "2", "--size", "7"]) == 0
+    assert calls == [(63, 8, 2)]
+    capsys.readouterr()
 
 
 def test_bound_past_the_digit_budget_is_data_error(capsys):

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oocgen
 from oocgen import (CosetFamily, CyclicSubspaceCode, IndexSet, OocCode,
-                    OocError, Subspace, build_coset_family, build_ooc,
-                    construct_g, field_create, johnson_bound, optimality_ratio,
+                    OocError, OocParams, Subspace, build_coset_family,
+                    build_ooc, construct_g, field_create, johnson_bound,
                     params_table, s_of_w, verify_oos)
 from oocgen import field, kernel, ooc, subspaces
 from oocgen.kernel import _BlockStack, _peak
@@ -883,8 +883,22 @@ def test_johnson_monotonicity(n, w, lam):
 
 
 def test_optimality_ratio():
-    assert optimality_ratio(11, 63, 8, 2) == 1
-    assert optimality_ratio(4, 80, 9, 3) == Fraction(4, johnson_bound(80, 9, 3))
+    assert OocParams(63, 8, 2, 11).ratio == 1
+    assert OocParams(80, 9, 3, 4).ratio == Fraction(4, johnson_bound(80, 9, 3))
+
+
+def test_params_row_refuses_after_johnsons_own_checks():
+    p = OocParams(63, 8, 2, 7)
+    assert (p.n, p.w, p.lam, p.size, p.johnson) == (63, 8, 2, 7, 11)
+    assert p.to_dict() == {"n": 63, "w": 8, "lambda": 2, "size": 7,
+                           "johnson": 11, "ratio": [7, 11]}
+    with pytest.raises(OocError, match="size must be >= 0, got size=-1"):
+        OocParams(63, 8, 2, -1)
+    with pytest.raises(OocError, match="Johnson bound is zero"):
+        OocParams(3, 3, 0, 0)
+    # J's refusals come first: lambda >= w is named, not the size
+    with pytest.raises(OocError, match="lambda must be < w"):
+        OocParams(8, 4, 5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -926,13 +940,22 @@ def test_build_ooc_makes_no_field_element():
 
 def test_params_table():
     rows = params_table([(3, 2), (4, 2), (5, 2)])
-    assert rows[0]["n"] == 80 and rows[0]["size"] == 4
-    assert rows[1]["size"] == 5  # floor(3/2) * (16-1)/3
-    assert rows[2]["n"] == 624 and rows[2]["size"] == 12
-    for row in rows:
-        assert row["ratio"] < 1
+    assert [(q, k) for q, k, _ in rows] == [(3, 2), (4, 2), (5, 2)]
+    assert rows[0][2].n == 80 and rows[0][2].size == 4
+    assert rows[1][2].size == 5  # floor(3/2) * (16-1)/3
+    assert rows[2][2].n == 624 and rows[2][2].size == 12
+    for _, _, p in rows:
+        assert p.ratio < 1
     for spec in [(2, 2), (3, 1), (6, 2)]:  # construct_g rejects these too
         with pytest.raises(ValueError):
             params_table([spec])
         with pytest.raises(ValueError):
             construct_g(*spec, 1)
+
+
+def test_params_table_rows_are_the_rows_construct_reports():
+    # the table's closed-form row against the built and verified code
+    specs = [(3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2), (11, 2),
+             (13, 2), (3, 3), (4, 3), (5, 3), (3, 4), (4, 4), (3, 5)]
+    for q, k, p in params_table(specs):
+        assert p.to_dict() == build_ooc(construct_g(q, k, 1))[1].to_dict()

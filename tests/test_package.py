@@ -109,7 +109,7 @@ def test_public_names_are_the_layers_own_objects():
         "coset_representatives", "subspace_to_dict", "IndexSet",
         "OocCode", "OocError", "OocParams", "VerificationError",
         "VerificationReport", "build_ooc", "johnson_bound",
-        "optimality_ratio", "params_table", "s_of_w", "verify_oos"])
+        "params_table", "s_of_w", "verify_oos"])
     for name, (module, same, listed) in out.items():
         assert module in ("oocgen.field", "oocgen.subspaces", "oocgen.ooc")
         assert same and listed, name
