@@ -27,11 +27,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 _SUB, _OOC = "oocgen/subspaces.py", "oocgen/ooc.py"
 _T_SUB, _T_OOC = "tests/test_subspaces.py::", "tests/test_ooc.py::"
 _T_CLI, _T_GOLD = "tests/test_cli.py::", "tests/test_golden.py::"
+_T_FIELD = "tests/test_field.py::"
+_SIZE_REFUSAL = ('        if size < 0:\n'
+                 '            raise OocError(f"size must be >= 0, '
+                 'got size={size}")\n')
 
 MUTANTS = [
     # _orbit_proof check (a): the class lookup of each difference always
@@ -71,9 +77,7 @@ MUTANTS = [
       _T_CLI + "test_bound_with_size_prints_its_line_byte_for_byte",
       _T_CLI + "test_table_prints_its_rows_byte_for_byte"]),
     # OocParams without its negative-size refusal
-    (_OOC, '        if size < 0:\n'
-           '            raise OocError(f"size must be >= 0, got size={size}")\n',
-     "",
+    (_OOC, _SIZE_REFUSAL, "",
      [_T_CLI + "test_bound_with_size",
       _T_OOC + "test_params_row_refuses_after_johnsons_own_checks"]),
     # OocParams without its zero-J refusal: Fraction(0, 0) escapes
@@ -84,12 +88,8 @@ MUTANTS = [
      [_T_CLI + "test_bound_with_size_refuses_a_ratio_over_a_zero_bound",
       _T_OOC + "test_params_row_refuses_after_johnsons_own_checks"]),
     # OocParams refuses the size before J's own checks
-    (_OOC, '        j = johnson_bound(n, w, lam)\n'
-           '        if size < 0:\n'
-           '            raise OocError(f"size must be >= 0, got size={size}")\n',
-     '        if size < 0:\n'
-     '            raise OocError(f"size must be >= 0, got size={size}")\n'
-     '        j = johnson_bound(n, w, lam)\n',
+    (_OOC, "        j = johnson_bound(n, w, lam)\n" + _SIZE_REFUSAL,
+     _SIZE_REFUSAL + "        j = johnson_bound(n, w, lam)\n",
      [_T_CLI + "test_bound_with_size_names_lambda_before_the_size",
       _T_OOC + "test_params_row_refuses_after_johnsons_own_checks"]),
     # _orbit_sweep skips an orbit's own counts when no orbit lies below it
@@ -128,8 +128,8 @@ MUTANTS = [
     # _resultant without the sign (-1)^(deg f deg g) of each swap
     ("oocgen/field.py", "        if m * n % 2:\n"
                         "            res = -res % p\n", "",
-     ["tests/test_field.py::test_resultant_is_the_norm_and_decides_the_order",
-      "tests/test_field.py::test_mul_codes_matches_sympy_product_mod_modulus"]),
+     [_T_FIELD + "test_resultant_is_the_norm_and_decides_the_order",
+      _T_FIELD + "test_mul_codes_matches_sympy_product_mod_modulus"]),
     # IndexSet keeps a repeated member
     (_OOC, "            if not _increasing(members):\n"
            '                raise OocError("index set repeats a member")\n',
@@ -145,7 +145,6 @@ def pytest_collection_finish(session):
     import oocgen
     copy = Path(session.config.getini("pythonpath")[0])
     if copy not in Path(oocgen.__file__).parents:
-        import pytest
         pytest.exit(f"oocgen comes from {oocgen.__file__}, not from {copy}",
                     returncode=4)
 

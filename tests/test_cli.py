@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oocgen import cli, field, ooc
 from oocgen.cli import main
-from oocgen.ooc import johnson_bound
 from conftest import bit_level_ooc_ok, canonical_sidon_f64, poly_exp_table
 from oocgen import (CyclicSubspaceCode, code_from_dict, construct_g,
                     field_create, field_from_descriptor, subspace_to_dict)
@@ -502,11 +501,11 @@ def test_bound_with_size_names_lambda_before_the_size(capsys):
 
 
 def test_each_row_computes_johnson_once(monkeypatch, capsys, tmp_path):
-    calls = []
+    calls, bound = [], ooc.johnson_bound
 
     def counted(n, w, lam):
         calls.append((n, w, lam))
-        return johnson_bound(n, w, lam)
+        return bound(n, w, lam)
 
     monkeypatch.setattr(ooc, "johnson_bound", counted)
     monkeypatch.setattr(cli, "johnson_bound", counted)
