@@ -500,7 +500,7 @@ def test_bound_with_size_names_lambda_before_the_size(capsys):
     assert captured.err == "error: lambda must be < w, got lambda=5, w=4\n"
 
 
-def test_each_row_computes_johnson_once(monkeypatch, capsys, tmp_path):
+def test_each_row_computes_johnson_once(monkeypatch, tmp_path):
     calls, bound = [], ooc.johnson_bound
 
     def counted(n, w, lam):
@@ -518,7 +518,6 @@ def test_each_row_computes_johnson_once(monkeypatch, capsys, tmp_path):
     calls.clear()
     assert main(["bound", "63", "8", "2", "--size", "7"]) == 0
     assert calls == [(63, 8, 2)]
-    capsys.readouterr()
 
 
 def test_bound_past_the_digit_budget_is_data_error(capsys):
