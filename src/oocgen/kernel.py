@@ -9,35 +9,34 @@ loads it without the field or subspace layers.
 
 
 class _BlockStack:
-    """Bit-sliced cyclic difference counts of a set X against a stack of
-    sets: count(X) returns (planes, own, below), push() stacks that X.
+    """Bit-sliced cyclic difference counts of each set X against itself and
+    the sets before it: count(X) stacks X and returns (planes, own, below).
 
-    Stacked set i's doubled indicator x | x << n sits at bit offset 2n·i of
-    one integer B, and X's at the next offset.  For y in X, bits [0, n) of
-    block i of the row B >> y hold the rotation X_i - y, so the sum of the
-    rows holds c[tau] = |X_i ∩ (X + tau)| at bit 2n·i + tau: bit k of the
-    count is that bit of plane k.  own masks X's block's bits [0, n), below
-    the stacked blocks'; callers read counts only through them and first.
+    Set i's doubled indicator x | x << n sits at bit offset 2n·i of one
+    integer B, X's at the last offset.  For y in X, bits [0, n) of block i
+    of the row B >> y hold the rotation X_i - y, so the sum of the rows
+    holds c[tau] = |X_i ∩ (X + tau)| at bit 2n·i + tau: bit k of the count
+    is that bit of plane k.  own masks X's block's bits [0, n), below the
+    earlier blocks'; callers read counts only through them and first.
 
     The rows enter four at a time through a carry-save (Harley–Seal) front
     end, which sends one carry of weight four up from plane 2; the 0-3 rows
     left over ripple in from plane 0.  Bits never interact, so the junk in a
     block's bits [n, 2n) never reaches [0, n); no count exceeds |X| < 2^d.
 
-    count keeps nothing: the next count swaps X's block, top, for its own,
-    so B is the one stacked integer.  It resets the one planes list in place
-    before it counts, and advances the masks after a push only once it has
-    counted and dropped its adder temporaries: the caller may hold the last.
+    B is the one stacked integer.  count resets the one planes list in place
+    before it counts, and advances the masks only once it has counted and
+    dropped its adder temporaries: the caller may hold the last.
     """
 
     def __init__(self, n):
         self.n, self.B, self.planes, self.offset = n, 0, [], 0
-        self.own, self.below, self.top = (1 << n) - 1, 0, None
+        self.own, self.below = (1 << n) - 1, 0
 
     def count(self, X):
         rows, planes, n = list(X), self.planes, self.n
         x = sum(1 << a | 1 << a + n for a in rows)  # members are distinct
-        self.B = B = self.B ^ (x ^ (self.top or 0)) << self.offset
+        self.B = B = self.B | x << self.offset
         planes[:] = [0] * len(rows).bit_length()
         cut = len(rows) & -4
         if cut:
@@ -58,15 +57,10 @@ class _BlockStack:
             del a, b, u, t, h  # not held while the next masks are made
         for y in rows[cut:]:
             _ripple(planes, 0, B >> y)
-        if self.top is None and self.offset:  # pushed since the last count
+        if self.offset:  # X is not the first set
             self.below, self.own = self.below | self.own, self.own << 2 * n
-        self.top = x
+        self.offset += 2 * n
         return planes, self.own, self.below
-
-    def push(self):
-        if self.top is None:
-            raise ValueError("push() needs a count() since the last push")
-        self.top, self.offset = None, self.offset + 2 * self.n
 
     def first(self, bits):
         """(i, tau) of the lowest set bit of bits, a count of block i."""

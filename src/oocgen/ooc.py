@@ -132,9 +132,9 @@ def verify_oos(sets, lam):
     All members must share the modulus and have equal size.  The report
     carries the exact maxima and the first witness of each: the lowest word,
     or the lowest word pair (i, j) in lexicographic order, that reaches the
-    maximum, then its smallest tau.  One _BlockStack counts and pushes each
-    word j in turn: _peak over its own mask less tau = 0 and over its below
-    mask gives its largest auto- and cross-correlation, and first (i, tau).
+    maximum, then its smallest tau.  One _BlockStack counts each word j in
+    turn: _peak over its own mask less tau = 0 and over its below mask gives
+    its largest auto- and cross-correlation, and first (i, tau).
     """
     if lam < 0:
         raise OocError(f"lambda must be >= 0, got lambda={lam}")
@@ -152,7 +152,6 @@ def verify_oos(sets, lam):
         stack = _BlockStack(n)
         for j, X in enumerate(sets):
             planes, own, below = stack.count(X.members)
-            stack.push()
             v, bits = _peak(planes, own & own - 1)  # own less tau = 0
             if auto is None or v > auto["value"]:
                 tau = stack.first(bits)[1] if bits else None
@@ -366,9 +365,10 @@ def oos_from_dict(d):
         try:
             words.append(IndexSet(d["n"], s))
         except OocError as exc:
-            if "repeats" in str(exc):  # IndexSet cannot name the set
-                exc = f"set {i} repeats a member"
-            raise OocError(f"OOS file: {exc}") from None
+            msg = str(exc)  # IndexSet cannot name the set, so name it here
+            if msg.startswith("index set "):
+                msg = f"set {i} {msg[10:]}"
+            raise OocError(f"OOS file: {msg}") from None
     return words
 
 

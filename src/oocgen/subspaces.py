@@ -160,8 +160,8 @@ def _orbit_sweep(code):
     By cyclic symmetry d(alpha U, beta V) = d(U, alpha^{-1} beta V), so a
     sweep of alpha against fixed representatives is exact, and F_q^* fixes
     every subspace, so a runs over Z_g, g = N/(q - 1).  A _BlockStack(g)
-    counts and pushes the classes of each U_j: c[a] = the number of
-    F_q^*-classes in U_i ∩ omega^a U_j, i <= j.  Its own mask's peak, all
+    counts the classes of each U_j: c[a] = the number of F_q^*-classes
+    in U_i ∩ omega^a U_j, i <= j.  Its own mask's peak, all
     of U_j's classes at a = 0, is U_j's stabiliser modulo F_q^*, left out
     of the distance; each of its residues stands for q - 1 scalars.  Over
     the rest of own and all of below only the peak is read: a subspace of
@@ -175,7 +175,6 @@ def _orbit_sweep(code):
     most, orders, stack = -1, [], _BlockStack(g)  # most: max dim(U ∩ a V)
     for U in code.representatives:
         planes, own, below = stack.count(U.classes)
-        stack.push()
         _, stab = _peak(planes, own)
         orders.append((q - 1) * stab.bit_count())
         region = below | own ^ stab  # stab lies in own

@@ -497,22 +497,18 @@ def canonical_sidon_f64():
 
 
 def stack_calls(monkeypatch, *modules):
-    """Make every block stack in modules record [counts, pushes] in the
-    returned list, one entry per stack made."""
+    """Make every block stack in modules record its number of counts in
+    the returned list, one entry per stack made."""
     calls = []
 
     class Counting(_BlockStack):
         def __init__(self, n):
             super().__init__(n)
-            calls.append([0, 0])
+            calls.append(0)
 
         def count(self, X):
-            calls[-1][0] += 1
+            calls[-1] += 1
             return super().count(X)
-
-        def push(self):
-            calls[-1][1] += 1
-            super().push()
 
     for module in modules:
         monkeypatch.setattr(module, "_BlockStack", Counting)

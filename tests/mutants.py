@@ -71,6 +71,12 @@ MUTANTS = [
     (_OOC, "            and _orbit_proof(code, family.cosets)):",
      "            and True):",
      [_T_SUB + "test_construct_sweeps_every_word_when_the_orbit_proof_fails"]),
+    # build_ooc takes its report from a one-word prefix
+    (_OOC, "verify_oos(sets[:2], lam)", "verify_oos(sets[:1], lam)",
+     [_T_SUB + "test_construct_sweeps_orbit_pairs_once",
+      _T_GOLD + "test_fallback_code_files_sweep_every_word[f64_fallback-30]",
+      _T_OOC + "test_verify_oos_stops_once_both_witnesses_are_fixed"
+               "[words0-2]"]),
     # OocParams: the ratio over J + 1
     (_OOC, "Fraction(size, j)", "Fraction(size, j + 1)",
      [_T_OOC + "test_optimality_ratio",
@@ -136,6 +142,22 @@ MUTANTS = [
      "",
      [_T_OOC + "test_index_set_with_a_repeated_member_is_refused",
       _T_CLI + "test_verify_oos_set_with_repeated_member_is_data_error"]),
+    # _coset_scan shifts one member of every word
+    (_SUB, "tuple(sorted([a] + [", "tuple(sorted([(a + 1) % N] + [",
+     [_T_OOC + "test_word_counts_are_orbit_counts_plus_one_or_zero[3-2]",
+      _T_OOC + "test_params_table_rows_are_the_rows_construct_reports",
+      _T_SUB + "test_coset_family_matches_field_oracle[q3k2]"]),
+    # _coset_scan leaves its tuples unsorted
+    (_SUB, "tuple(sorted([a] + [(a + zech[i - a]) % N for i in span_nz]))",
+     "tuple([a] + [(a + zech[i - a]) % N for i in span_nz])",
+     [_T_SUB + "test_coset_family_q3",
+      _T_SUB + "test_proposition_intersection_bounds",
+      _T_SUB + "test_coset_family_matches_field_oracle[q3k2]"]),
+    # _BlockStack lays own out at stride n, not 2n
+    ("oocgen/kernel.py", "self.own << 2 * n", "self.own << n",
+     [_T_OOC + "test_column_counts_yield_the_layout_masks",
+      _T_OOC + "test_column_counts_for_every_set_size_to_nine",
+      _T_OOC + "test_verify_oos_matches_pair_loop_oracle"]),
 ]
 
 

@@ -125,6 +125,16 @@ def test_verify_oos_set_with_repeated_member_is_data_error(tmp_path,
     assert "OOS file: set 0 repeats a member" in captured.err
 
 
+def test_verify_oos_set_with_member_out_of_range_names_the_set(tmp_path,
+                                                               capsys):
+    path = tmp_path / "range.oos.json"
+    path.write_text(json.dumps({"n": 5, "sets": [[0, 1], [2, 7]]}))
+    assert main(["verify", str(path), "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OOS file: set 1 member out of range\n"
+
+
 def _deep_json(tmp_path):
     # 200 000 nested lists: json's decoder gives up with a RecursionError
     path = tmp_path / "deep.json"

@@ -227,7 +227,7 @@ def test_fallback_code_files_sweep_every_word(monkeypatch, name, m):
     monkeypatch.setattr(subspaces, "_orbit_proof", no_proof)
     calls = stack_calls(monkeypatch, ooc)
     _, _, report = build_ooc(code)
-    assert calls == [[2, 2], [m, m]] and report.passed
+    assert calls == [2, m] and report.passed
 
 
 def test_sidon_code_file_is_the_canonical_sidon_f64():

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oocgen
 from oocgen import (CosetFamily, CyclicSubspaceCode, IndexSet, OocCode,
@@ -171,11 +171,10 @@ def test_shift_matches_field_scaling():
 # with the lowest tau that reaches it (None for an empty mask).
 
 def _stacked(sets, n):
-    """A block stack of modulus n with each of sets counted and pushed."""
+    """A block stack of modulus n with each of sets counted."""
     stack = _BlockStack(n)
     for X in sets:
         stack.count(X)
-        stack.push()
     return stack
 
 
@@ -359,14 +358,13 @@ def test_column_counts_at_sixteen_planes(m):
 
 
 def _check_columns(sets, n):
-    """Every set counted and pushed in turn against the bit oracle: block i
+    """Every set counted in turn against the bit oracle: block i
     of set j's count holds |X_i ∩ (X_j + tau)|, in len(X_j).bit_length()
     planes; block i is read through the own mask that set i's count
     returned."""
     stack, owns = _BlockStack(n), []
     for j, X in enumerate(sets):
         planes, own, _ = stack.count(X)
-        stack.push()
         owns.append(own)
         assert len(planes) == len(sets[j]).bit_length()
         yb = [1 if t in sets[j] else 0 for t in range(n)]
@@ -395,6 +393,7 @@ def test_column_counts_of_mixed_sizes_match_bit_oracle(case):
 
 @given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.frozensets(st.integers(0, n - 1), max_size=9), max_size=6))))
+@example((5, [frozenset({1, 2}), frozenset()]))  # an empty set is a block
 def test_column_counts_yield_the_layout_masks(case):
     # the layout contract: set j's counts against stacked set i sit at
     # bits [2n·i, 2n·i + n), own is block j's, below every stacked block's,
@@ -403,7 +402,6 @@ def test_column_counts_yield_the_layout_masks(case):
     stack, earlier = _BlockStack(n), 0
     for j, X in enumerate(sets):
         _, own, below = stack.count(X)
-        stack.push()
         assert own == ((1 << n) - 1) << 2 * n * j
         assert below == earlier
         earlier |= own
@@ -412,81 +410,19 @@ def test_column_counts_yield_the_layout_masks(case):
             assert stack.first(bit) == (j, tau)
             assert stack.first(bit | own << n) == (j, tau)  # the lowest bit
     # every set was stacked once: the next count is laid out as block m
-    _, own, below = stack.count(())
+    _, own, below = stack.count([0])
     assert own == ((1 << n) - 1) << 2 * n * len(sets) and below == earlier
 
 
-def _column(stack, X):
-    """stack.count(X) with its planes copied, since the next count reuses
-    the list."""
-    planes, own, below = stack.count(X)
-    return list(planes), own, below
-
-
-_stack_case = st.integers(1, 24).flatmap(lambda n: st.tuples(
-    st.just(n), *[st.lists(st.frozensets(st.integers(0, n - 1), max_size=9),
-                           max_size=4)] * 2,
-    st.frozensets(st.integers(0, n - 1), max_size=9)))
-
-
-@given(_stack_case)
-def test_count_without_push_leaves_the_stack_as_it_was(case):
-    # counts that are never pushed leave no trace: the next count equals
-    # the same count on a stack built from the pushed sets alone
-    n, kept, dropped, Y = case
-    stack = _stacked(kept, n)
-    for X in dropped:
-        stack.count(X)
-    fresh = _stacked(kept, n)
-    assert _column(stack, Y) == _column(fresh, Y)
-    assert stack.B == fresh.B  # Y's block on top of the same stack
-
-
-@given(_stack_case)
-def test_pushing_only_passing_sets_equals_a_stack_of_them(case):
-    # a greedy search counts each candidate and pushes it only if no count
-    # against the kept sets or its own nonzero shifts exceeds 1; each kept
-    # count, and a last count of Y, equal those on a stack of kept sets only
-    n, first, rest, Y = case
-    stack, kept, columns = _BlockStack(n), [], []
-    for X in first + rest:
-        column = _column(stack, X)
-        planes, own, below = column
-        if _peak(planes, below | own & own - 1)[0] <= 1:
-            stack.push()
-            kept.append(X)
-            columns.append(column)
-    fresh = _BlockStack(n)
-    for X, column in zip(kept, columns):
-        assert _column(fresh, X) == column
-        fresh.push()
-    assert _column(stack, Y) == _column(fresh, Y)
-
-
 def test_one_planes_list_is_reused_across_counts():
-    # every count resets the same list in place, pushed or not, so a
-    # caller's reference to the last planes does not keep them alive
+    # every count resets the same list in place, so a caller's reference
+    # to the last planes does not keep them alive
     stack = _BlockStack(7)
     planes, _, _ = stack.count([0, 1, 3])
     assert stack.count([2, 5])[0] is planes
-    stack.push()
     assert stack.count([0, 1, 4, 5, 6])[0] is planes
-    assert planes == _stacked([[2, 5]], 7).count([0, 1, 4, 5, 6])[0]
-
-
-def test_push_needs_a_count_since_the_last_push():
-    stack = _BlockStack(5)
-    with pytest.raises(ValueError, match="needs a count"):
-        stack.push()
-    stack.count([1, 2])
-    stack.push()
-    with pytest.raises(ValueError, match="needs a count"):
-        stack.push()
-    stack.count([])  # an empty set is a block too
-    stack.push()
-    assert stack.count([0])[1:] == (((1 << 5) - 1) << 20,
-                                    sum(((1 << 5) - 1) << 10 * i
-                                        for i in range(2)))
+    assert planes == _stacked([[0, 1, 3], [2, 5]], 7).count(
+        [0, 1, 4, 5, 6])[0]
 
 
 @st.composite
@@ -678,7 +614,7 @@ def test_verify_oos_stops_once_both_witnesses_are_fixed(monkeypatch, words,
     monkeypatch.setattr(subspaces, "_orbit_proof", lambda code, cosets: True)
     calls = stack_calls(monkeypatch, ooc)
     assert build_ooc(code)[2] == full
-    assert calls == [[2, 2]] + ([[columns, columns]] if columns > 2 else [])
+    assert calls == [2] + ([columns] if columns > 2 else [])
     _assert_same_report_as_pair_loop(sets, 2)
 
 
@@ -752,11 +688,9 @@ def _lemma_violations(code, words):
     orbits, stack, bad = _BlockStack(n), _BlockStack(n), []
     for b, U in enumerate(code.representatives):
         planes, _, _ = orbits.count(subspaces._nonzero(U))
-        orbits.push()
         lemma = [_plus_one(_block(planes, a, n), low) for a in range(b + 1)]
         for j in range(b * t, (b + 1) * t):
             planes, _, _ = stack.count(words[j])
-            stack.push()
             for i in range(j + 1):
                 c, e = _block(planes, i, n), lemma[i // t]
                 nonzero = differ = 0

@@ -294,7 +294,7 @@ def test_code_min_distance_vs_pair_loop_on_multi_orbit_codes(reps):
 def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
                                                        pipeline_q3,
                                                        pipeline_q5):
-    # one stack counts and pushes each of the r representatives once:
+    # one stack counts each of the r representatives once:
     # U_j's count holds the blocks i <= j, r(r + 1)/2 orbit pairs in all
     calls = stack_calls(monkeypatch, subspaces)
     for code in (pipeline_q3[0], pipeline_q5[0]):
@@ -302,7 +302,7 @@ def test_code_min_distance_counts_each_orbit_pair_once(monkeypatch,
         calls.clear()
         assert code_min_distance(code) == d
         r = len(code.representatives)
-        assert calls == [[r, r]]  # r = 1, then r = 2
+        assert calls == [r]  # r = 1, then r = 2
 
 
 def test_construct_sweeps_orbit_pairs_once(monkeypatch):
@@ -314,9 +314,9 @@ def test_construct_sweeps_orbit_pairs_once(monkeypatch):
     _, params, _ = build_ooc(code)
     # r = 3 orbits; the orbit proof holds, so of r * t = 24 words the
     # sweep counts words 0 and 1: word 0 reaches lam alone, (0, 1) with it
-    assert calls == [[3, 3], [2, 2]]
+    assert calls == [3, 2]
     assert params.lam == 7 ** (2 - code.min_distance // 2)
-    assert code.orbits_disjoint() and calls == [[3, 3], [2, 2]]
+    assert code.orbits_disjoint() and calls == [3, 2]
 
 
 def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
@@ -336,7 +336,7 @@ def test_construct_sweeps_every_word_when_the_orbit_proof_fails(
     calls = stack_calls(monkeypatch, ooc)
     with pytest.raises(VerificationError) as exc:
         build_ooc(code)
-    assert calls == [[2, 2], [24, 24]]
+    assert calls == [2, 24]
     report = exc.value.report
     assert report.max_cross == 49 and report.witnesses[1]["words"] == [22, 23]
     sets = [s_of_w(code.field, W) for W in words]
@@ -352,7 +352,7 @@ def test_verify_sweeps_every_word(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     calls = stack_calls(monkeypatch, ooc)
     assert main(["verify", f"{out}.ooc"]) == 0
-    assert calls == [[24, 24]]
+    assert calls == [24]
     report = json.loads((tmp_path / "q7.report.json").read_text())
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
